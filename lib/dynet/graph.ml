@@ -121,7 +121,8 @@ let iter_edges f t = iter_pairs (fun u v -> f (Edge.make u v)) t
 
 let delta_counts ~prev ~cur =
   if prev.n <> cur.n then invalid_arg "Graph.delta_counts: node counts differ";
-  if prev == cur || prev.keys == cur.keys then (0, 0)
+  if prev == cur || prev.keys == cur.keys then
+    ((0, 0) [@dynlint.alloc_ok "a constant pair, allocated statically"])
   else begin
     (* Merge walk over two sorted key arrays. *)
     let a = prev.keys and b = cur.keys in
@@ -137,6 +138,7 @@ let delta_counts ~prev ~cur =
     removed := !removed + (la - !i);
     inserted := !inserted + (lb - !j);
     (!inserted, !removed)
+    [@dynlint.alloc_ok "one result pair per round whose edge set changed"]
   end
 
 let same_edges a b =

@@ -1,13 +1,15 @@
 (** The common [ENGINE] seam.
 
-    Both simulation engines — the fast-path {!Default} and the
-    pseudocode-faithful {!Reference} — implement the same pair of
-    [run] signatures, packaged as a first-class {!module-type-ENGINE}
-    value.  Anything that executes a protocol against an adversary can
-    be parameterized over the engine (see [Gossip.Runners]' [?engine]
-    and the [lib/fuzz] differential harness), and future engines (the
-    sharded mega-scale engine, the serve daemon's workers) plug into
-    the same seam.
+    The three simulation engines — the fast-path {!Default}, the
+    pseudocode-faithful {!Reference} and the struct-of-arrays {!Soa} —
+    implement the same pair of [run] signatures, packaged as a
+    first-class {!module-type-ENGINE} value.  Anything that executes a
+    protocol against an adversary can be parameterized over the engine
+    (see [Gossip.Runners]' [?engine], the [lib/fuzz] differential
+    harness and the serve daemon's workers).  {!Default} and {!Soa}
+    share their per-round bookkeeping through {!Round_harness};
+    {!Reference} keeps an independent loop, which is what makes it an
+    oracle.
 
     The [PROTOCOL] module types and adversary types are {e owned} by
     {!Runner_broadcast} / {!Runner_unicast}: every engine runs the
@@ -77,7 +79,7 @@ end
 module type ENGINE = sig
   val name : string
   (** Stable identifier for reports and diagnostics (["fastpath"],
-      ["reference"]). *)
+      ["reference"], ["soa"], ["soa-N"]). *)
 
   module Broadcast : BROADCAST
   module Unicast : UNICAST

@@ -98,7 +98,11 @@ let tc t = t.tc
 let removals t = t.removals
 
 let note_progress t p =
-  (match t.first_progress with None -> t.first_progress <- Some p | Some _ -> ());
+  (match t.first_progress with
+  | None ->
+      (t.first_progress <- Some p)
+      [@dynlint.alloc_ok "the first progress sample only, once per run"]
+  | Some _ -> ());
   t.last_progress <- p
 
 let learnings t =

@@ -1,5 +1,3 @@
-open Dynet.Ops
-
 (* Optional struct-of-arrays capability (see the mli for the laws a
    provider must satisfy): a protocol whose per-node state is exactly
    "a bitset of known tokens" under a phased single-token broadcast
@@ -41,95 +39,26 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
     ~(states : s array)
     ~(adversary : (s, m) adversary)
     ~max_rounds ~stop () =
+  let module H = Round_harness in
   let n = Array.length states in
-  let ledger = Ledger.create () in
-  let timeline = ref [] in
-  (* Hoisted so the default Null sink costs one boolean test per
-     emission site and never allocates an event. *)
-  let tracing = not (Obs.Sink.is_null obs) in
-  (* Hoisted like [tracing]: with the default null profiler every
-     span site below is one boolean test, nothing more. *)
-  let profiling = not (Obs.Span.is_null prof) in
-  (* Hoisted fault-layer activity test: with [Faults.Plan.none] the
-     round loop below is the pre-fault-layer code path. *)
-  let frun = Faults.Plan.start faults ~n in
-  let faulty = Faults.Plan.active frun in
-  let fcounts = Faults.Plan.counts frun in
-  (* Invariant layer, hoisted like [tracing]/[faulty].  A local
-     broadcast is charged once in the ledger but delivered per edge, so
-     [c_sent] counts broadcasts while the conservation counters track
-     per-edge message copies (see Runner_unicast for the scheme). *)
-  let checking = Check.enabled () in
-  let c_sent = ref 0 and c_created = ref 0 and c_consumed = ref 0 in
-  let c_dropped = ref 0 and c_inflight = ref 0 in
-  let initial = if faulty then Array.copy states else [||] in
-  (* Delayed per-edge deliveries: due round -> (dst, src, msg). *)
-  let delayed : (int, (Dynet.Node_id.t * Dynet.Node_id.t * m) list ref)
-      Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let emit_fault ~round ~kind ~node ?dst ?cls () =
-    if tracing then
-      Obs.Sink.emit obs (Obs.Trace.Fault { round; kind; node; dst; cls })
-  in
   let sum_progress () =
     Array.fold_left (fun acc st -> acc + P.progress st) 0 states
   in
-  let p0 = sum_progress () in
-  Ledger.note_progress ledger p0;
-  if tracing then
-    Obs.Sink.emit obs
-      (Obs.Trace.Progress { round = 0; progress = p0; learnings = 0 });
-  let prev = ref (Option.value init_prev ~default:(Dynet.Graph.empty ~n)) in
-  (* Opt-in livelock detector: [stall_after = Some w] stops the run
-     once global progress has not increased for [w] consecutive rounds
-     (callers pass a full schedule period, so a protocol limit-cycling
-     against a periodic schedule is cut short instead of spinning to
-     the round cap).  Off by default: the Section-2 lower-bound
-     adversary legitimately starves progress for long stretches. *)
-  let best_progress = ref p0 in
-  let stagnant = ref 0 in
-  let stalled = ref false in
-  let completed = ref (stop states) in
-  let aborted = ref None in
-  (* Cooperative cancellation, polled once per round boundary (the
-     first poll happens before round 1, so a pre-cancelled run
-     executes zero rounds).  Latched: once the caller's poll returns
-     true the run is cancelled for good and the poll never fires
-     again. *)
-  let cancelled = ref false in
-  let cancel_requested () =
-    (match cancel with
-    | None -> ()
-    | Some c -> if not !cancelled then cancelled := c ());
-    !cancelled
+  let h =
+    H.start ?init_prev ~obs ~faults ~prof ?on_graph ?target_progress
+      ?stall_after ?cancel ~n ~max_rounds ~progress:(sum_progress ())
+      ~completed:(stop states) ()
   in
-  let round = ref 0 in
-  while
-    (not !completed) && (not !stalled) && Option.is_none !aborted
-    && (not (cancel_requested ()))
-    && !round < max_rounds
-  do
-    incr round;
-    let r = !round in
-    if tracing then Obs.Sink.emit obs (Obs.Trace.Round_start { round = r });
-    if profiling then begin
-      Obs.Span.enter prof ~cat:"round" "round";
-      Obs.Span.add_counter prof "round" (float_of_int r)
-    end;
-    if faulty then begin
-      if profiling then Obs.Span.enter prof ~cat:"phase" "faults";
-      Faults.Plan.begin_round frun ~round:r
-        ~on_crash:(fun v -> emit_fault ~round:r ~kind:"crash" ~node:v ())
-        ~on_restart:(fun v ->
-          states.(v) <- initial.(v);
-          emit_fault ~round:r ~kind:"restart" ~node:v ());
-      if Faults.Plan.doomed frun then
-        aborted := Some "all nodes crashed with no possible restart";
-      if profiling then Obs.Span.leave prof
-    end;
-    if Option.is_none !aborted then begin
-      if profiling then Obs.Span.enter prof ~cat:"phase" "intent";
+  let tracing = not (Obs.Sink.is_null obs) in
+  let checking = H.checking h in
+  let faulty = H.faulty h and frun = H.frun h in
+  (* Initial states, snapshotted for crash-restart state loss. *)
+  let initial = if faulty then Array.copy states else [||] in
+  let delayed = H.delay_table () in
+  while H.continue h do
+    let r = H.begin_round h in
+    if H.fault_prologue h ~states ~initial then begin
+      H.enter h "intent";
       let intents =
         Array.map
           (fun _ -> (None : m option))
@@ -143,34 +72,16 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
           intents.(v) <- m
         end
       done;
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "adversary"
-      end;
-      let g = adversary ~round:r ~prev:!prev ~states ~intents in
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "graph"
-      end;
-      Engine_error.check_graph ~round:r ~n g;
-      (* Recorder hook: see Runner_unicast — the committed round graph,
-         once per round, for realized-schedule capture. *)
-      (match on_graph with None -> () | Some f -> f ~round:r g);
-      let tc0 = Ledger.tc ledger and rm0 = Ledger.removals ledger in
-      Ledger.note_graph_change ledger ~prev:!prev ~cur:g;
-      if tracing then
-        Obs.Sink.emit obs
-          (Obs.Trace.Graph_change
-             {
-               round = r;
-               added = Ledger.tc ledger - tc0;
-               removed = Ledger.removals ledger - rm0;
-             });
-      Ledger.note_round ledger;
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "send"
-      end;
+      H.leave h;
+      H.enter h "adversary";
+      let g = adversary ~round:r ~prev:(H.prev h) ~states ~intents in
+      H.leave h;
+      H.commit_graph h g;
+      H.enter h "send";
+      (* A local broadcast is charged once in the ledger but delivered
+         per edge, so the sent counter counts broadcasts while the copy
+         counters track per-edge deliveries. *)
+      let ledger = H.ledger h in
       Array.iteri
         (fun v intent ->
           match intent with
@@ -179,7 +90,7 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
               let cls = P.classify m in
               Ledger.record ledger cls 1;
               Ledger.record_sender ledger v 1;
-              if checking then incr c_sent;
+              H.count_sent h 1;
               if tracing then
                 Obs.Sink.emit obs
                   (Obs.Trace.Send
@@ -190,10 +101,8 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
                        cls = Msg_class.to_string cls;
                      }))
         intents;
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "deliver"
-      end;
+      H.leave h;
+      H.enter h "deliver";
       let inboxes =
         if not faulty then
           Array.init n (fun v ->
@@ -207,158 +116,39 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
                 match intents.(u) with
                 | None -> ()
                 | Some m ->
-                    if checking then incr c_created;
+                    H.count_created h 1;
                     acc := (u, m) :: !acc
               done;
               !acc)
         else begin
-          (* A local broadcast is charged once but delivered per edge;
-             the per-edge deliveries fail (or duplicate, or lag)
-             independently. *)
+          (* The per-edge deliveries of one broadcast fail (or
+             duplicate, or lag) independently. *)
           let inboxes = Array.make n [] in
           for v = 0 to n - 1 do
             Array.iter
               (fun u ->
                 match intents.(u) with
                 | None -> ()
-                | Some m -> (
-                    let cls_name = Msg_class.to_string (P.classify m) in
-                    match Faults.Plan.deliveries frun with
-                    | None ->
-                        if checking then begin
-                          incr c_created;
-                          incr c_dropped
-                        end;
-                        emit_fault ~round:r ~kind:"drop" ~node:u ~dst:v
-                          ~cls:cls_name ()
-                    | Some delays ->
-                        if checking then
-                          c_created := !c_created + List.length delays;
-                        if List.length delays > 1 then
-                          emit_fault ~round:r ~kind:"dup" ~node:u ~dst:v
-                            ~cls:cls_name ();
-                        List.iter
-                          (fun d ->
-                            if d = 0 then inboxes.(v) <- (u, m) :: inboxes.(v)
-                            else begin
-                              if checking then incr c_inflight;
-                              emit_fault ~round:r ~kind:"delay" ~node:u ~dst:v
-                                ~cls:cls_name ();
-                              let due = r + d in
-                              let cell =
-                                match Hashtbl.find_opt delayed due with
-                                | Some cell -> cell
-                                | None ->
-                                    let cell = ref [] in
-                                    Hashtbl.add delayed due cell;
-                                    cell
-                              in
-                              cell := (v, u, m) :: !cell
-                            end)
-                          delays))
+                | Some m ->
+                    H.deliver_faulty h delayed inboxes ~src:u ~dst:v
+                      ~cls:(P.classify m) m)
               (Dynet.Graph.neighbors g v)
           done;
-          (match Hashtbl.find_opt delayed r with
-          | None -> ()
-          | Some cell ->
-              if checking then
-                c_inflight := !c_inflight - List.length !cell;
-              List.iter
-                (fun (dst, src, m) ->
-                  inboxes.(dst) <- (src, m) :: inboxes.(dst))
-                (List.rev !cell);
-              Hashtbl.remove delayed r);
-          for v = 0 to n - 1 do
-            if not (Faults.Plan.alive frun v) then begin
-              if checking then
-                c_dropped := !c_dropped + List.length inboxes.(v);
-              List.iter
-                (fun (src, m) ->
-                  fcounts.Faults.Counts.drops <-
-                    fcounts.Faults.Counts.drops + 1;
-                  emit_fault ~round:r ~kind:"drop" ~node:src ~dst:v
-                    ~cls:(Msg_class.to_string (P.classify m)) ())
-                (List.rev inboxes.(v));
-              inboxes.(v) <- []
-            end
-            else inboxes.(v) <- List.rev inboxes.(v)
-          done;
-          inboxes
+          H.settle_inboxes h delayed inboxes ~classify:P.classify;
+          Array.map List.rev inboxes
         end
       in
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "receive"
-      end;
+      H.leave h;
+      H.enter h "receive";
       for v = 0 to n - 1 do
         if (not faulty) || Faults.Plan.alive frun v then begin
-          if checking then
-            c_consumed := !c_consumed + List.length inboxes.(v);
+          if checking then H.count_consumed h (List.length inboxes.(v));
           states.(v) <- P.receive states.(v) ~round:r ~inbox:inboxes.(v)
         end
       done;
-      if profiling then Obs.Span.leave prof;
-      if checking then begin
-        if profiling then Obs.Span.enter prof ~cat:"phase" "check";
-        Check.connected
-          ~what:(Printf.sprintf "round %d: adversary graph connectivity" r)
-          g;
-        Check.require ~what:"ledger total equals broadcasts performed"
-          (fun () -> Ledger.total ledger = !c_sent);
-        Check.require ~what:"message-copy conservation" (fun () ->
-            Check.conserved ~created:!c_created ~consumed:!c_consumed
-              ~dropped:!c_dropped ~in_flight:!c_inflight);
-        if profiling then Obs.Span.leave prof
-      end;
-      let p = sum_progress () in
-      Ledger.note_progress ledger p;
-      if tracing then
-        Obs.Sink.emit obs
-          (Obs.Trace.Progress
-             { round = r; progress = p; learnings = Ledger.learnings ledger });
-      if p > !best_progress then begin
-        best_progress := p;
-        stagnant := 0
-      end
-      else begin
-        incr stagnant;
-        match stall_after with
-        | Some w when !stagnant >= w -> stalled := true
-        | Some _ | None -> ()
-      end;
-      timeline :=
-        (r, Ledger.total ledger, Ledger.learnings ledger) :: !timeline;
-      prev := g;
-      completed := stop states
-    end;
-    if profiling then Obs.Span.leave prof
+      H.leave h;
+      H.check_round h ~what:"ledger total equals broadcasts performed";
+      H.end_round h ~progress:(sum_progress ()) ~completed:(stop states)
+    end
   done;
-  if tracing then begin
-    Obs.Sink.emit obs
-      (Obs.Trace.Run_end
-         {
-           rounds = !round;
-           completed = !completed;
-           messages = Ledger.total ledger;
-         });
-    Obs.Sink.flush obs
-  end;
-  let outcome =
-    match !aborted with
-    | Some reason -> Run_result.Aborted reason
-    | None ->
-        if !completed then Run_result.Completed
-        else if !stalled then
-          Run_result.Stalled { rounds_without_progress = !stagnant }
-        else if !cancelled then
-          Run_result.Cancelled
-            { achieved = sum_progress (); target = target_progress }
-        else
-          Run_result.Partial
-            { achieved = sum_progress (); target = target_progress }
-  in
-  ( Run_result.make ~outcome
-      ?fault_counts:(if faulty then Some fcounts else None)
-      ~rounds:!round ~completed:!completed ~ledger
-      ~timeline:(List.rev !timeline) (),
-    states )
+  (H.finish h, states)

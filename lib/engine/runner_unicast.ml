@@ -53,125 +53,35 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
     ~(states : s array)
     ~(adversary : s adversary)
     ~max_rounds ~stop () =
+  let module H = Round_harness in
   let n = Array.length states in
-  let ledger = Ledger.create () in
-  let timeline = ref [] in
-  (* Hoisted so the default Null sink costs one boolean test per
-     emission site and never allocates an event. *)
-  let tracing = not (Obs.Sink.is_null obs) in
-  (* Hoisted like [tracing]: with the default null profiler every
-     span site below is one boolean test, nothing more. *)
-  let profiling = not (Obs.Span.is_null prof) in
-  (* Same null-object pattern for the fault layer: with
-     [Faults.Plan.none] every fault hook below is behind one hoisted
-     boolean and the round loop is the pre-fault-layer code path. *)
-  let frun = Faults.Plan.start faults ~n in
-  let faulty = Faults.Plan.active frun in
-  let fcounts = Faults.Plan.counts frun in
-  (* Invariant layer, hoisted like [tracing]/[faulty]: with --check off
-     the counters below are never touched and no predicate runs.  The
-     counters track message *copies* through the delivery layer —
-     created at send (duplication creates extras, a send-time drop
-     destroys the copy), consumed at receive, destroyed with a dead
-     node's inbox, or delayed in flight — so the round-end conservation
-     check catches any accounting drift between the ledger and the
-     physical delivery path. *)
-  let checking = Check.enabled () in
-  let c_sent = ref 0 and c_created = ref 0 and c_consumed = ref 0 in
-  let c_dropped = ref 0 and c_inflight = ref 0 in
-  (* Initial states, snapshotted for crash-restart state loss. *)
-  let initial = if faulty then Array.copy states else [||] in
-  (* Delayed deliveries: due round -> (dst, src, msg) in send order. *)
-  let delayed : (int, (Dynet.Node_id.t * Dynet.Node_id.t * m) list ref)
-      Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let emit_fault ~round ~kind ~node ?dst ?cls () =
-    if tracing then
-      Obs.Sink.emit obs (Obs.Trace.Fault { round; kind; node; dst; cls })
-  in
   let sum_progress () =
     Array.fold_left (fun acc st -> acc + P.progress st) 0 states
   in
-  let p0 = sum_progress () in
-  Ledger.note_progress ledger p0;
-  if tracing then
-    Obs.Sink.emit obs
-      (Obs.Trace.Progress { round = 0; progress = p0; learnings = 0 });
-  let prev = ref (Option.value init_prev ~default:(Dynet.Graph.empty ~n)) in
+  let h =
+    H.start ?init_prev ~obs ~faults ~prof ?on_graph ?target_progress
+      ?stall_after ?cancel ~n ~max_rounds ~progress:(sum_progress ())
+      ~completed:(stop states) ()
+  in
+  let tracing = not (Obs.Sink.is_null obs) in
+  let checking = H.checking h in
+  let faulty = H.faulty h and frun = H.frun h in
+  (* Initial states, snapshotted for crash-restart state loss. *)
+  let initial = if faulty then Array.copy states else [||] in
+  let delayed = H.delay_table () in
   (* One bit per ordered (src, dst) pair, allocated once and cleared
      per round — replaces a fresh per-round Hashtbl keyed by tuples. *)
   let token_sent = Dynet.Bitset.create (n * n) in
   let traffic = ref ([] : traffic) in
-  (* Opt-in livelock detector, identical to Runner_broadcast: stop
-     once global progress has not increased for [stall_after]
-     consecutive rounds.  Off by default — adaptive adversaries starve
-     progress legitimately. *)
-  let best_progress = ref p0 in
-  let stagnant = ref 0 in
-  let stalled = ref false in
-  let completed = ref (stop states) in
-  let aborted = ref None in
-  (* Cooperative cancellation, polled once per round boundary; see
-     Runner_broadcast for the latching scheme. *)
-  let cancelled = ref false in
-  let cancel_requested () =
-    (match cancel with
-    | None -> ()
-    | Some c -> if not !cancelled then cancelled := c ());
-    !cancelled
-  in
-  let round = ref 0 in
-  while
-    (not !completed) && (not !stalled) && Option.is_none !aborted
-    && (not (cancel_requested ()))
-    && !round < max_rounds
-  do
-    incr round;
-    let r = !round in
-    if tracing then Obs.Sink.emit obs (Obs.Trace.Round_start { round = r });
-    if profiling then begin
-      Obs.Span.enter prof ~cat:"round" "round";
-      Obs.Span.add_counter prof "round" (float_of_int r)
-    end;
-    if faulty then begin
-      if profiling then Obs.Span.enter prof ~cat:"phase" "faults";
-      Faults.Plan.begin_round frun ~round:r
-        ~on_crash:(fun v -> emit_fault ~round:r ~kind:"crash" ~node:v ())
-        ~on_restart:(fun v ->
-          states.(v) <- initial.(v);
-          emit_fault ~round:r ~kind:"restart" ~node:v ());
-      if Faults.Plan.doomed frun then
-        aborted := Some "all nodes crashed with no possible restart";
-      if profiling then Obs.Span.leave prof
-    end;
-    if Option.is_none !aborted then begin
-      if profiling then Obs.Span.enter prof ~cat:"phase" "adversary";
-      let g = adversary ~round:r ~prev:!prev ~states ~traffic:!traffic in
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "graph"
-      end;
-      Engine_error.check_graph ~round:r ~n g;
-      (* Recorder hook: the committed (validated) round graph, once per
-         round — what a trace of this execution's realized schedule
-         must contain, whether the adversary was oblivious or not. *)
-      (match on_graph with None -> () | Some f -> f ~round:r g);
-      let tc0 = Ledger.tc ledger and rm0 = Ledger.removals ledger in
-      Ledger.note_graph_change ledger ~prev:!prev ~cur:g;
-      if tracing then
-        Obs.Sink.emit obs
-          (Obs.Trace.Graph_change
-             {
-               round = r;
-               added = Ledger.tc ledger - tc0;
-               removed = Ledger.removals ledger - rm0;
-             });
-      Ledger.note_round ledger;
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "send"
-      end;
+  while H.continue h do
+    let r = H.begin_round h in
+    if H.fault_prologue h ~states ~initial then begin
+      H.enter h "adversary";
+      let g = adversary ~round:r ~prev:(H.prev h) ~states ~traffic:!traffic in
+      H.leave h;
+      H.commit_graph h g;
+      H.enter h "send";
+      let ledger = H.ledger h in
       let inboxes = Array.make n [] in
       let round_traffic = ref [] in
       Dynet.Bitset.clear token_sent;
@@ -203,7 +113,7 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
                   ());
               Ledger.record ledger cls 1;
               Ledger.record_sender ledger v 1;
-              if checking then incr c_sent;
+              H.count_sent h 1;
               if tracing then
                 Obs.Sink.emit obs
                   (Obs.Trace.Send
@@ -216,155 +126,38 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
               round_traffic := (v, dst, cls) :: !round_traffic;
               (* Collect in reverse, fix sender order below. *)
               if not faulty then begin
-                if checking then incr c_created;
+                H.count_created h 1;
                 inboxes.(dst) <- (v, m) :: inboxes.(dst)
               end
-              else
-                let cls_name = Msg_class.to_string cls in
-                match Faults.Plan.deliveries frun with
-                | None ->
-                    if checking then begin
-                      incr c_created;
-                      incr c_dropped
-                    end;
-                    emit_fault ~round:r ~kind:"drop" ~node:v ~dst
-                      ~cls:cls_name ()
-                | Some delays ->
-                    if checking then
-                      c_created := !c_created + List.length delays;
-                    if List.length delays > 1 then
-                      emit_fault ~round:r ~kind:"dup" ~node:v ~dst
-                        ~cls:cls_name ();
-                    List.iter
-                      (fun d ->
-                        if d = 0 then inboxes.(dst) <- (v, m) :: inboxes.(dst)
-                        else begin
-                          if checking then incr c_inflight;
-                          emit_fault ~round:r ~kind:"delay" ~node:v ~dst
-                            ~cls:cls_name ();
-                          let due = r + d in
-                          let cell =
-                            match Hashtbl.find_opt delayed due with
-                            | Some cell -> cell
-                            | None ->
-                                let cell = ref [] in
-                                Hashtbl.add delayed due cell;
-                                cell
-                          in
-                          cell := (dst, v, m) :: !cell
-                        end)
-                      delays)
+              else H.deliver_faulty h delayed inboxes ~src:v ~dst ~cls m)
             out
         end
       done;
-      if profiling then Obs.Span.leave prof;
+      H.leave h;
       if faulty then begin
-        if profiling then Obs.Span.enter prof ~cat:"phase" "deliver";
-        (* Messages whose bounded delay expires this round arrive now,
-           after the on-time traffic (the sort below interleaves them
-           into sender order). *)
-        (match Hashtbl.find_opt delayed r with
-        | None -> ()
-        | Some cell ->
-            if checking then
-              c_inflight := !c_inflight - List.length !cell;
-            List.iter
-              (fun (dst, src, m) -> inboxes.(dst) <- (src, m) :: inboxes.(dst))
-              (List.rev !cell);
-            Hashtbl.remove delayed r);
-        (* A node crashed at delivery time loses its whole inbox. *)
-        for v = 0 to n - 1 do
-          if not (Faults.Plan.alive frun v) then begin
-            if checking then
-              c_dropped := !c_dropped + List.length inboxes.(v);
-            List.iter
-              (fun (src, m) ->
-                fcounts.Faults.Counts.drops <-
-                  fcounts.Faults.Counts.drops + 1;
-                emit_fault ~round:r ~kind:"drop" ~node:src ~dst:v
-                  ~cls:(Msg_class.to_string (P.classify m)) ())
-              (List.rev inboxes.(v));
-            inboxes.(v) <- []
-          end
-        done;
-        if profiling then Obs.Span.leave prof
+        H.enter h "deliver";
+        (* Late arrivals land after the on-time traffic; the sort below
+           interleaves them into sender order. *)
+        H.settle_inboxes h delayed inboxes ~classify:P.classify;
+        H.leave h
       end;
-      if profiling then Obs.Span.enter prof ~cat:"phase" "receive";
+      H.enter h "receive";
       for v = 0 to n - 1 do
         if (not faulty) || Faults.Plan.alive frun v then begin
           let inbox =
             List.stable_sort (fun (a, _) (b, _) -> Dynet.Node_id.compare a b)
               (List.rev inboxes.(v))
           in
-          if checking then c_consumed := !c_consumed + List.length inbox;
+          if checking then H.count_consumed h (List.length inbox);
           states.(v) <-
             P.receive states.(v) ~round:r ~neighbors:(Dynet.Graph.neighbors g v)
               ~inbox
         end
       done;
-      if profiling then Obs.Span.leave prof;
-      if checking then begin
-        if profiling then Obs.Span.enter prof ~cat:"phase" "check";
-        Check.connected
-          ~what:(Printf.sprintf "round %d: adversary graph connectivity" r)
-          g;
-        Check.require ~what:"ledger total equals physical sends" (fun () ->
-            Ledger.total ledger = !c_sent);
-        Check.require ~what:"message-copy conservation" (fun () ->
-            Check.conserved ~created:!c_created ~consumed:!c_consumed
-              ~dropped:!c_dropped ~in_flight:!c_inflight);
-        if profiling then Obs.Span.leave prof
-      end;
-      let p = sum_progress () in
-      Ledger.note_progress ledger p;
-      if tracing then
-        Obs.Sink.emit obs
-          (Obs.Trace.Progress
-             { round = r; progress = p; learnings = Ledger.learnings ledger });
-      if p > !best_progress then begin
-        best_progress := p;
-        stagnant := 0
-      end
-      else begin
-        incr stagnant;
-        match stall_after with
-        | Some w when !stagnant >= w -> stalled := true
-        | Some _ | None -> ()
-      end;
-      timeline :=
-        (r, Ledger.total ledger, Ledger.learnings ledger) :: !timeline;
-      prev := g;
+      H.leave h;
+      H.check_round h ~what:"ledger total equals physical sends";
       traffic := List.rev !round_traffic;
-      completed := stop states
-    end;
-    if profiling then Obs.Span.leave prof
+      H.end_round h ~progress:(sum_progress ()) ~completed:(stop states)
+    end
   done;
-  if tracing then begin
-    Obs.Sink.emit obs
-      (Obs.Trace.Run_end
-         {
-           rounds = !round;
-           completed = !completed;
-           messages = Ledger.total ledger;
-         });
-    Obs.Sink.flush obs
-  end;
-  let outcome =
-    match !aborted with
-    | Some reason -> Run_result.Aborted reason
-    | None ->
-        if !completed then Run_result.Completed
-        else if !stalled then
-          Run_result.Stalled { rounds_without_progress = !stagnant }
-        else if !cancelled then
-          Run_result.Cancelled
-            { achieved = sum_progress (); target = target_progress }
-        else
-          Run_result.Partial
-            { achieved = sum_progress (); target = target_progress }
-  in
-  ( Run_result.make ~outcome
-      ?fault_counts:(if faulty then Some fcounts else None)
-      ~rounds:!round ~completed:!completed ~ledger
-      ~timeline:(List.rev !timeline) (),
-    states )
+  (H.finish h, states)

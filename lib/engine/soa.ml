@@ -2,7 +2,7 @@ open Dynet.Ops
 
 (* The mega-scale struct-of-arrays engine.
 
-   Three execution strategies behind the one ENGINE seam, chosen per
+   Two execution strategies behind the one ENGINE seam, chosen per
    run:
 
    - {b plane kernel} (broadcast, protocol advertises
@@ -12,50 +12,24 @@ open Dynet.Ops
      sharded passes over flat memory with no intents array, no inbox
      lists, and no per-round state records — allocation only happens
      when a node actually learns a token (to keep [states] live for
-     [stop] and adaptive adversaries).
-   - {b sharded unicast}: [P.send]/[P.receive] fan out across the
-     Domain pool; per-(src,dst)-shard staging buffers are merged at
-     the barrier in ascending shard order, and all accounting (ledger,
-     checks, trace, traffic) replays sequentially in node order, so
-     reports and violation behaviour are bit-identical to
-     [Runner_unicast].
-   - {b delegation}: fault-injected runs, and broadcast protocols
-     without the plane capability, run on the sequential fast path
-     ([Runner_broadcast]/[Runner_unicast]) unchanged.  Fault
-     scheduling is inherently sequential (per-edge delivery draws in
-     node order), so sharding it would only re-serialize.
+     [stop] and adaptive adversaries).  The per-round bookkeeping
+     (ledger, trace, spans, checks, outcome) is the shared
+     [Round_harness].
+   - {b the fast path}: unicast runs, fault-injected runs, and
+     broadcast protocols without the plane capability run on
+     [Runner_unicast]/[Runner_broadcast] unchanged.  Fault scheduling
+     is inherently sequential (per-edge delivery draws in node order),
+     so sharding it would only re-serialize.
 
    Determinism: each worker owns a contiguous node range and writes
-   only its own plane rows, array slots, and staging buffers; every
-   cross-shard combination (bit-plane OR, counter sums, staging
-   drains) happens in ascending shard order, either in the coordinator
-   or in a phase whose reads are frozen by the barrier.  Reports are
-   therefore bit-identical at any shard count, which the differential
-   fuzz harness enforces against [Default]. *)
+   only its own plane rows, array slots, and staging rows; every
+   cross-shard combination (bit-plane OR, counter sums) happens in
+   ascending shard order, either in the coordinator or in a phase
+   whose reads are frozen by the barrier.  Reports are therefore
+   bit-identical at any shard count, which the differential fuzz
+   harness enforces against [Default]. *)
 
 let kernel_name = "soa"
-
-(* Growable int log for the timeline: the round loop appends two ints
-   per round with amortized-doubling growth, and the [(round, total,
-   learnings)] list the result needs is materialised once at the end,
-   outside the hot loop. *)
-module Ilog = struct
-  type t = { mutable a : int array; mutable len : int }
-
-  let create () = { a = Array.make 256 0; len = 0 }
-
-  let push t x =
-    if t.len = Array.length t.a then begin
-      let a' = Array.make (2 * t.len) 0 in
-      Array.blit t.a 0 a' 0 t.len;
-      t.a <- a'
-    end;
-    t.a.(t.len) <- x;
-    t.len <- t.len + 1
-
-  let get t i = t.a.(i)
-  let len t = t.len
-end
 
 (* {2 The plane kernel} *)
 
@@ -64,14 +38,11 @@ let run_plane (type s m)
     (spec : (s, m) Runner_broadcast.plane_spec) ~spans ?init_prev ~obs ~prof
     ?on_graph ?target_progress ?stall_after ?cancel ~(states : s array)
     ~(adversary : (s, m) Runner_broadcast.adversary) ~max_rounds ~stop () =
+  let module H = Round_harness in
   let n = Array.length states in
   let shards = Array.length spans in
   let k = spec.Runner_broadcast.width states.(0) in
-  let ledger = Ledger.create () in
   let tracing = not (Obs.Sink.is_null obs) in
-  let profiling = not (Obs.Span.is_null prof) in
-  let checking = Check.enabled () in
-  let c_sent = ref 0 and c_created = ref 0 and c_consumed = ref 0 in
   (* One contiguous plane per run: row v is node v's known-token mask. *)
   let plane = Dynet.Plane.create ~rows:n ~width:k in
   for v = 0 to n - 1 do
@@ -115,40 +86,13 @@ let run_plane (type s m)
   let active = Array.make (max 1 n) 0 in
   let cur_phase = ref 0 in
   let b = ref 0 in
-  let timeline_totals = Ilog.create () in
-  let timeline_learnings = Ilog.create () in
-  let prev = ref (Option.value init_prev ~default:(Dynet.Graph.empty ~n)) in
-  (* Validity gate, delta-gated like the CSR: a graph physically equal
-     to the last validated one (what Stability returns on stable
-     rounds) cannot have changed its node count or connectivity, so
-     stable rounds skip the O(n + m) union-find walk — and its
-     allocation.  Seeded with a fresh sentinel no adversary graph can
-     alias. *)
-  let last_valid = ref (Dynet.Graph.empty ~n) in
-  let validate ~round g =
-    if g != !last_valid then begin
-      Engine_error.check_graph ~round ~n g;
-      last_valid := g
-    end
+  let h =
+    H.start ?init_prev ~obs ~faults:Faults.Plan.none ~prof ?on_graph
+      ?target_progress ?stall_after ?cancel ~n ~max_rounds
+      ~progress:!total_known ~completed:(stop states) ()
   in
-  Ledger.note_progress ledger !total_known;
-  if tracing then
-    Obs.Sink.emit obs
-      (Obs.Trace.Progress { round = 0; progress = !total_known; learnings = 0 });
-  let best_progress = ref !total_known in
-  let stagnant = ref 0 in
-  let stalled = ref false in
-  let completed = ref (stop states) in
-  (* Cooperative cancellation, polled once per round boundary; see
-     Runner_broadcast for the latching scheme. *)
-  let cancelled = ref false in
-  let cancel_requested () =
-    (match cancel with
-    | None -> ()
-    | Some c -> if not !cancelled then cancelled := c ());
-    !cancelled
-  in
-  let round = ref 0 in
+  let checking = H.checking h in
+  let ledger = H.ledger h in
   (* Hoisted phase jobs: the same two closures fire every round, so the
      barrier machinery allocates nothing inside the loop. *)
   let intent_job ~shard ~lo ~hi =
@@ -254,19 +198,9 @@ let run_plane (type s m)
   [@@dynlint.hot]
   in
   Shard_pool.with_pool ~spans @@ fun pool ->
-  while
-    (not !completed) && (not !stalled)
-    && (not (cancel_requested ()))
-    && !round < max_rounds
-  do
-    incr round;
-    let r = !round in
-    if tracing then Obs.Sink.emit obs (Obs.Trace.Round_start { round = r });
-    if profiling then begin
-      Obs.Span.enter prof ~cat:"round" "round";
-      Obs.Span.add_counter prof "round" (float_of_int r)
-    end;
-    if profiling then Obs.Span.enter prof ~cat:"phase" "intent";
+  while H.continue h do
+    let r = H.begin_round h in
+    H.enter h "intent";
     let p = spec.phase_of states.(0) ~round:r in
     cur_phase := p;
     (match phase_msgs.(p) with
@@ -299,34 +233,14 @@ let run_plane (type s m)
       done;
       b := !b + shard_sends.(s)
     done;
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "adversary"
-    end;
-    let g = adversary ~round:r ~prev:!prev ~states ~intents in
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "graph"
-    end;
-    validate ~round:r g;
-    (match on_graph with None -> () | Some f -> f ~round:r g);
-    let tc0 = Ledger.tc ledger and rm0 = Ledger.removals ledger in
-    Ledger.note_graph_change ledger ~prev:!prev ~cur:g;
-    if tracing then
-      Obs.Sink.emit obs
-        (Obs.Trace.Graph_change
-           {
-             round = r;
-             added = Ledger.tc ledger - tc0;
-             removed = Ledger.removals ledger - rm0;
-           });
-    Ledger.note_round ledger;
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "send"
-    end;
+    H.leave h;
+    H.enter h "adversary";
+    let g = adversary ~round:r ~prev:(H.prev h) ~states ~intents in
+    H.leave h;
+    H.commit_graph h g;
+    H.enter h "send";
     if !b > 0 then Ledger.record ledger phase_cls.(p) !b;
-    if checking then c_sent := !c_sent + !b;
+    H.count_sent h !b;
     if tracing then begin
       let cls_name = Msg_class.to_string phase_cls.(p) in
       for v = 0 to n - 1 do
@@ -335,15 +249,11 @@ let run_plane (type s m)
             (Obs.Trace.Send { round = r; src = v; dst = None; cls = cls_name })
       done
     end;
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "deliver"
-    end;
+    H.leave h;
+    H.enter h "deliver";
     ignore (Dynet.Csr.update csr g : bool);
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "receive"
-    end;
+    H.leave h;
+    H.enter h "receive";
     (* Conservation checking needs the pull path (it counts every
        delivered copy per receiver); otherwise pick by density — pull
        when broadcasters are dense (scans stop early), push when they
@@ -362,342 +272,18 @@ let run_plane (type s m)
     for s = 0 to shards - 1 do
       total_known := !total_known + shard_learned.(s);
       shard_learned.(s) <- 0;
-      if checking then begin
-        c_created := !c_created + shard_copies.(s);
-        c_consumed := !c_consumed + shard_copies.(s);
-        shard_copies.(s) <- 0
-      end
+      H.count_created h shard_copies.(s);
+      H.count_consumed h shard_copies.(s);
+      shard_copies.(s) <- 0
     done;
-    if profiling then Obs.Span.leave prof;
-    if checking then begin
-      if profiling then Obs.Span.enter prof ~cat:"phase" "check";
-      Check.connected
-        ~what:(Printf.sprintf "round %d: adversary graph connectivity" r)
-        g;
-      Check.require ~what:"ledger total equals broadcasts performed" (fun () ->
-          Ledger.total ledger = !c_sent);
-      Check.require ~what:"message-copy conservation" (fun () ->
-          Check.conserved ~created:!c_created ~consumed:!c_consumed ~dropped:0
-            ~in_flight:0);
-      if profiling then Obs.Span.leave prof
-    end;
-    let pnow = !total_known in
-    Ledger.note_progress ledger pnow;
-    if tracing then
-      Obs.Sink.emit obs
-        (Obs.Trace.Progress
-           { round = r; progress = pnow; learnings = Ledger.learnings ledger });
-    if pnow > !best_progress then begin
-      best_progress := pnow;
-      stagnant := 0
-    end
-    else begin
-      incr stagnant;
-      match stall_after with
-      | Some w when !stagnant >= w -> stalled := true
-      | Some _ | None -> ()
-    end;
-    Ilog.push timeline_totals (Ledger.total ledger);
-    Ilog.push timeline_learnings (Ledger.learnings ledger);
-    prev := g;
-    completed := stop states;
-    if profiling then Obs.Span.leave prof
+    H.leave h;
+    H.check_round h ~what:"ledger total equals broadcasts performed";
+    H.end_round h ~progress:!total_known ~completed:(stop states)
   done;
-  if tracing then begin
-    Obs.Sink.emit obs
-      (Obs.Trace.Run_end
-         {
-           rounds = !round;
-           completed = !completed;
-           messages = Ledger.total ledger;
-         });
-    Obs.Sink.flush obs
-  end;
   for v = 0 to n - 1 do
     if loads.(v) > 0 then Ledger.record_sender ledger v loads.(v)
   done;
-  let timeline =
-    List.init (Ilog.len timeline_totals) (fun i ->
-        (i + 1, Ilog.get timeline_totals i, Ilog.get timeline_learnings i))
-  in
-  let outcome =
-    if !completed then Run_result.Completed
-    else if !stalled then
-      Run_result.Stalled { rounds_without_progress = !stagnant }
-    else if !cancelled then
-      Run_result.Cancelled { achieved = !total_known; target = target_progress }
-    else Run_result.Partial { achieved = !total_known; target = target_progress }
-  in
-  ( Run_result.make ~outcome ~rounds:!round ~completed:!completed ~ledger
-      ~timeline (),
-    states )
-
-(* {2 The sharded unicast path} *)
-
-let run_unicast_sharded (type s m)
-    (module P : Runner_unicast.PROTOCOL with type state = s and type msg = m)
-    ~spans ?init_prev ~obs ~prof ?on_graph ?target_progress ?stall_after
-    ?cancel ~(states : s array) ~(adversary : s Runner_unicast.adversary)
-    ~max_rounds
-    ~stop () =
-  let n = Array.length states in
-  let shards = Array.length spans in
-  let shard_of = Array.make (max n 1) 0 in
-  Array.iteri
-    (fun s (lo, hi) ->
-      for v = lo to hi - 1 do
-        shard_of.(v) <- s
-      done)
-    spans;
-  let ledger = Ledger.create () in
-  let timeline = ref [] in
-  let tracing = not (Obs.Sink.is_null obs) in
-  let profiling = not (Obs.Span.is_null prof) in
-  let checking = Check.enabled () in
-  let c_sent = ref 0 and c_created = ref 0 and c_consumed = ref 0 in
-  let sum_progress () =
-    Array.fold_left (fun acc st -> acc + P.progress st) 0 states
-  in
-  let p0 = sum_progress () in
-  Ledger.note_progress ledger p0;
-  if tracing then
-    Obs.Sink.emit obs
-      (Obs.Trace.Progress { round = 0; progress = p0; learnings = 0 });
-  let prev = ref (Option.value init_prev ~default:(Dynet.Graph.empty ~n)) in
-  let token_sent = Dynet.Bitset.create (n * n) in
-  let traffic = ref ([] : Runner_unicast.traffic) in
-  let best_progress = ref p0 in
-  let stagnant = ref 0 in
-  let stalled = ref false in
-  let completed = ref (stop states) in
-  (* Cooperative cancellation, polled once per round boundary; see
-     Runner_broadcast for the latching scheme. *)
-  let cancelled = ref false in
-  let cancel_requested () =
-    (match cancel with
-    | None -> ()
-    | Some c -> if not !cancelled then cancelled := c ());
-    !cancelled
-  in
-  let round = ref 0 in
-  (* Send phase scratch: workers park the new state and raw send list
-     per node (committed by the coordinator in node order, so a
-     protocol violation aborts with exactly the sequential engine's
-     states), and stage each message into the (src shard, dst shard)
-     buffer for the parallel delivery pass. *)
-  let new_states = Array.copy states in
-  let outs : (Dynet.Node_id.t * m) list array = Array.make (max n 1) [] in
-  let stage : (int * int * m) list ref array array =
-    Array.init shards (fun _ -> Array.init shards (fun _ -> ref []))
-  in
-  let inboxes : (Dynet.Node_id.t * m) list array = Array.make (max n 1) [] in
-  let shard_consumed = Array.make shards 0 in
-  let cur_graph = ref (Dynet.Graph.empty ~n) in
-  let cur_round = ref 0 in
-  let send_job ~shard ~lo ~hi =
-    let g = !cur_graph and r = !cur_round in
-    for v = lo to hi - 1 do
-      let neighbors = Dynet.Graph.neighbors g v in
-      let st, out = P.send states.(v) ~round:r ~neighbors in
-      new_states.(v) <- st;
-      outs.(v) <- out;
-      List.iter
-        (fun (dst, msg) ->
-          (* Out-of-range destinations are protocol violations; the
-             coordinator's replay raises them in node order, so here
-             they are simply not staged. *)
-          if dst >= 0 && dst < n then begin
-            let cell = stage.(shard).(shard_of.(dst)) in
-            cell := (v, dst, msg) :: !cell
-          end)
-        out
-    done
-  in
-  let receive_job ~shard ~lo ~hi =
-    let g = !cur_graph and r = !cur_round in
-    (* Drain the staging buffers addressed to this shard, in ascending
-       source-shard order; each buffer was built by conses, so its
-       reversal is send order, and the concatenation over source
-       shards is exactly the sequential engine's global send order. *)
-    for src_shard = 0 to shards - 1 do
-      List.iter
-        (fun (src, dst, msg) ->
-          if shard_of.(dst) = shard then
-            inboxes.(dst) <- (src, msg) :: inboxes.(dst))
-        (List.rev !(stage.(src_shard).(shard)))
-    done;
-    for v = lo to hi - 1 do
-      let inbox =
-        List.stable_sort
-          (fun (a, _) (b, _) -> Dynet.Node_id.compare a b)
-          (List.rev inboxes.(v))
-      in
-      inboxes.(v) <- [];
-      if checking then
-        shard_consumed.(shard) <- shard_consumed.(shard) + List.length inbox;
-      states.(v) <-
-        P.receive states.(v) ~round:r ~neighbors:(Dynet.Graph.neighbors g v)
-          ~inbox
-    done
-  in
-  Shard_pool.with_pool ~spans @@ fun pool ->
-  while
-    (not !completed) && (not !stalled)
-    && (not (cancel_requested ()))
-    && !round < max_rounds
-  do
-    incr round;
-    let r = !round in
-    if tracing then Obs.Sink.emit obs (Obs.Trace.Round_start { round = r });
-    if profiling then begin
-      Obs.Span.enter prof ~cat:"round" "round";
-      Obs.Span.add_counter prof "round" (float_of_int r)
-    end;
-    if profiling then Obs.Span.enter prof ~cat:"phase" "adversary";
-    let g = adversary ~round:r ~prev:!prev ~states ~traffic:!traffic in
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "graph"
-    end;
-    Engine_error.check_graph ~round:r ~n g;
-    (match on_graph with None -> () | Some f -> f ~round:r g);
-    let tc0 = Ledger.tc ledger and rm0 = Ledger.removals ledger in
-    Ledger.note_graph_change ledger ~prev:!prev ~cur:g;
-    if tracing then
-      Obs.Sink.emit obs
-        (Obs.Trace.Graph_change
-           {
-             round = r;
-             added = Ledger.tc ledger - tc0;
-             removed = Ledger.removals ledger - rm0;
-           });
-    Ledger.note_round ledger;
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "send"
-    end;
-    cur_graph := g;
-    cur_round := r;
-    Array.iter (fun row -> Array.iter (fun cell -> cell := []) row) stage;
-    Shard_pool.run pool send_job;
-    (* Sequential replay in node order: state commits, neighbor and
-       duplicate-token checks, ledger, trace, and the traffic fed to
-       the next round's adversary — bit-identical to Runner_unicast,
-       including which states a violation leaves untouched. *)
-    let round_traffic = ref [] in
-    Dynet.Bitset.clear token_sent;
-    for v = 0 to n - 1 do
-      states.(v) <- new_states.(v);
-      let neighbors = Dynet.Graph.neighbors g v in
-      List.iter
-        (fun (dst, msg) ->
-          if not (Runner_unicast.mem_sorted neighbors dst) then
-            raise
-              (Engine_error.Protocol_violation
-                 (Printf.sprintf "round %d: node %d sent to non-neighbor %d" r
-                    v dst));
-          let cls = P.classify msg in
-          (match cls with
-          | Msg_class.Token | Msg_class.Walk ->
-              let pair = (v * n) + dst in
-              if Dynet.Bitset.mem token_sent pair then
-                raise
-                  (Engine_error.Protocol_violation
-                     (Printf.sprintf
-                        "round %d: node %d sent two tokens to %d in one round"
-                        r v dst));
-              Dynet.Bitset.set token_sent pair
-          | Msg_class.Completeness | Msg_class.Request | Msg_class.Center
-          | Msg_class.Control ->
-              ());
-          Ledger.record ledger cls 1;
-          Ledger.record_sender ledger v 1;
-          if checking then begin
-            incr c_sent;
-            incr c_created
-          end;
-          if tracing then
-            Obs.Sink.emit obs
-              (Obs.Trace.Send
-                 {
-                   round = r;
-                   src = v;
-                   dst = Some dst;
-                   cls = Msg_class.to_string cls;
-                 });
-          round_traffic := (v, dst, cls) :: !round_traffic)
-        outs.(v);
-      outs.(v) <- []
-    done;
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "receive"
-    end;
-    Shard_pool.run pool receive_job;
-    if checking then
-      for s = 0 to shards - 1 do
-        c_consumed := !c_consumed + shard_consumed.(s);
-        shard_consumed.(s) <- 0
-      done;
-    if profiling then Obs.Span.leave prof;
-    if checking then begin
-      if profiling then Obs.Span.enter prof ~cat:"phase" "check";
-      Check.connected
-        ~what:(Printf.sprintf "round %d: adversary graph connectivity" r)
-        g;
-      Check.require ~what:"ledger total equals physical sends" (fun () ->
-          Ledger.total ledger = !c_sent);
-      Check.require ~what:"message-copy conservation" (fun () ->
-          Check.conserved ~created:!c_created ~consumed:!c_consumed ~dropped:0
-            ~in_flight:0);
-      if profiling then Obs.Span.leave prof
-    end;
-    let p = sum_progress () in
-    Ledger.note_progress ledger p;
-    if tracing then
-      Obs.Sink.emit obs
-        (Obs.Trace.Progress
-           { round = r; progress = p; learnings = Ledger.learnings ledger });
-    if p > !best_progress then begin
-      best_progress := p;
-      stagnant := 0
-    end
-    else begin
-      incr stagnant;
-      match stall_after with
-      | Some w when !stagnant >= w -> stalled := true
-      | Some _ | None -> ()
-    end;
-    timeline :=
-      (r, Ledger.total ledger, Ledger.learnings ledger) :: !timeline;
-    prev := g;
-    traffic := List.rev !round_traffic;
-    completed := stop states;
-    if profiling then Obs.Span.leave prof
-  done;
-  if tracing then begin
-    Obs.Sink.emit obs
-      (Obs.Trace.Run_end
-         {
-           rounds = !round;
-           completed = !completed;
-           messages = Ledger.total ledger;
-         });
-    Obs.Sink.flush obs
-  end;
-  let outcome =
-    if !completed then Run_result.Completed
-    else if !stalled then
-      Run_result.Stalled { rounds_without_progress = !stagnant }
-    else if !cancelled then
-      Run_result.Cancelled
-        { achieved = sum_progress (); target = target_progress }
-    else
-      Run_result.Partial { achieved = sum_progress (); target = target_progress }
-  in
-  ( Run_result.make ~outcome ~rounds:!round ~completed:!completed ~ledger
-      ~timeline:(List.rev !timeline) (),
-    states )
+  (H.finish h, states)
 
 (* {2 Engine packaging} *)
 
@@ -746,27 +332,7 @@ let make ?(shards = 1) ?(boundary_bug = false) () =
               ?stall_after ?cancel ~states ~adversary ~max_rounds ~stop ()
     end
 
-    module Unicast = struct
-      let run (type s m)
-          (module P : Runner_unicast.PROTOCOL
-            with type state = s
-             and type msg = m) ?init_prev ?(obs = Obs.Sink.null)
-          ?(faults = Faults.Plan.none) ?(prof = Obs.Span.null) ?on_graph
-          ?target_progress ?stall_after ?cancel ~states ~adversary
-          ~max_rounds ~stop () =
-        let n = Array.length states in
-        if Faults.Plan.is_none faults && n > 0 then
-          run_unicast_sharded
-            (module P)
-            ~spans:(spans_for ~n ~shards ~boundary_bug)
-            ?init_prev ~obs ~prof ?on_graph ?target_progress ?stall_after
-            ?cancel ~states ~adversary ~max_rounds ~stop ()
-        else
-          Runner_unicast.run
-            (module P)
-            ?init_prev ~obs ~faults ~prof ?on_graph ?target_progress
-            ?stall_after ?cancel ~states ~adversary ~max_rounds ~stop ()
-    end
+    module Unicast = Runner_unicast
   end in
   (module E : Engine_sig.ENGINE)
 

@@ -10,15 +10,14 @@
 
     - broadcast protocols advertising the
       {!Runner_broadcast.plane_spec} capability (and no fault plan) run
-      on the plane kernel — allocation-free in steady state, sharded;
-    - unicast runs without a fault plan run sharded generically:
-      [P.send]/[P.receive] fan out over the pool, with all accounting
-      replayed sequentially in node order between the barriers;
-    - everything else (fault plans, plane-less broadcast protocols)
-      delegates to the sequential fast path unchanged.
+      on the plane kernel — allocation-free in steady state, sharded,
+      with its per-round bookkeeping on the shared {!Round_harness};
+    - everything else (unicast runs, fault plans, plane-less broadcast
+      protocols) runs on the sequential fast path
+      ({!Runner_unicast}/{!Runner_broadcast}) unchanged.
 
     Determinism: workers own contiguous node ranges and write only
-    their own plane rows / array slots / staging buffers; cross-shard
+    their own plane rows / array slots / staging rows; cross-shard
     merges happen in ascending shard order.  Reports are bit-identical
     to {!Default} at any shard count — the property the differential
     fuzz harness ({!Fuzz.Diff}) enforces. *)
@@ -35,7 +34,7 @@ val make : ?shards:int -> ?boundary_bug:bool -> unit -> (module Engine_sig.ENGIN
     [boundary_bug] (default false) is the {e seeded} off-by-one used by
     the fuzz harness's mutation smoke test: shard 1's range starts one
     node late, so with two or more (non-empty) shards one node on the
-    0/1 boundary is silently skipped.  Never set it outside tests. *)
+    0/1 boundary is silently skipped by the plane kernel.  Never set it outside tests. *)
 
 val engine : ?shards:int -> unit -> (module Engine_sig.ENGINE)
 (** {!make} without the test-only knob. *)

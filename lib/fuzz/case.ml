@@ -30,28 +30,6 @@ let label t =
 let to_trace t =
   Scenario.Trace_io.of_graphs ~seed:t.seed ~provenance:"fuzz" ~n:t.n t.rounds
 
-(* Both sides below mirror Scenario.Runner exactly — a saved
-   counterexample must reproduce through [dynspread scenario run]. *)
-let instance t =
-  match t.algo with
-  | Single_source -> Gossip.Instance.single_source ~n:t.n ~k:t.k ~source:0
-  | Flooding | Multi_source ->
-      if t.s <= 1 then Gossip.Instance.single_source ~n:t.n ~k:t.k ~source:0
-      else
-        Gossip.Instance.multi_source
-          ~rng:(Dynet.Rng.make ~seed:(t.seed + 1))
-          ~n:t.n ~k:t.k
-          ~s:(min t.s (min t.n t.k))
-
-let fault_plan t =
-  match t.faults with
-  | None -> Faults.Plan.none
-  | Some f ->
-      Faults.Plan.make ~loss:f.loss ~dup:f.dup ~crash:f.crash
-        ~restart:f.restart ~max_delay:f.max_delay
-        ~seed:(Option.value f.fault_seed ~default:t.seed)
-        ()
-
 let stall_after t =
   Scenario.Runner.stall_window ~period:(period t) ~n:t.n ~k:t.k
 

@@ -5,9 +5,10 @@
     instance shape [(n, k, s)], seed, optional round cap and fault
     plan, and the concrete per-round graph sequence (round 1 first,
     replayed with {!Scenario.Replay.Loop} past the end).  Instance
-    construction, fault-plan wiring and the stall window all mirror
-    {!Scenario.Runner}, so a saved counterexample reproduces through
-    [dynspread scenario run] exactly as it did inside the fuzzer. *)
+    construction and fault-plan wiring go through {!Scenario.Runner}'s
+    own functions, and the stall window is its {!Scenario.Runner.stall_window},
+    so a saved counterexample reproduces through [dynspread scenario
+    run] exactly as it did inside the fuzzer. *)
 
 type algo = Flooding | Single_source | Multi_source
 
@@ -37,13 +38,8 @@ val to_trace : t -> Scenario.Trace_io.t
 (** The case's schedule as a [dynspread-trace/v1] document
     (provenance ["fuzz"], the case seed as trace seed). *)
 
-val instance : t -> Gossip.Instance.t
-(** Token placement, mirroring [Scenario.Runner]: source 0 for
-    single-source shapes, a seeded random assignment for [s > 1]. *)
-
-val fault_plan : t -> Faults.Plan.t
-(** The case's fault plan ({!Faults.Plan.none} when [faults] is
-    [None]); the fault seed defaults to the case seed. *)
+val spec_algorithm : algo -> Scenario.Spec.algorithm
+(** The {!Scenario.Spec} algorithm a case runs. *)
 
 val stall_after : t -> int
 (** {!Scenario.Runner.stall_window} for the case's period — the

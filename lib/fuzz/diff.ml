@@ -71,8 +71,14 @@ let run_caught ~engine_name ~name ~realized f =
 let execute ~engine ?(flooding = real_flooding) ?prof (case : Case.t) =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = case.Case.n and k = case.Case.k in
-  let instance = Case.instance case in
-  let faults = Case.fault_plan case in
+  let instance =
+    Scenario.Runner.instance
+      (Case.spec_algorithm case.Case.algo)
+      ~n ~k ~s:case.Case.s ~seed:case.Case.seed
+  in
+  let faults =
+    Scenario.Runner.fault_plan case.Case.faults ~seed:case.Case.seed
+  in
   let schedule =
     Scenario.Replay.schedule ~past_end:Scenario.Replay.Loop (Case.to_trace case)
   in

@@ -74,8 +74,8 @@ let faults rng : Scenario.Spec.faults option =
 (* The differential pairing is a case dimension too: a quarter of the
    corpus runs Reference-vs-Default (the original pseudocode check),
    the rest runs Soa-vs-Default at shard counts 1, 2 and 4 — so every
-   campaign exercises the plane kernel, the sharded unicast path, and
-   real multi-domain barriers on the same tiny instances.  Drawn from
+   campaign exercises the plane kernel and real multi-domain barriers
+   on the same tiny instances.  Drawn from
    a salted stream so adding the dimension shifted no case input. *)
 let engine_pair ~seed ~id =
   let rng = Dynet.Rng.make ~seed:(case_seed ~seed ~id lxor 0x50a) in

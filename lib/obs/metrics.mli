@@ -7,7 +7,7 @@
     - {e histograms} — observed samples ([observe]) summarized on
       demand with count/sum/min/max/mean and the p50/p95/p99
       nearest-rank percentiles of {!Stats.percentile} (the same helper
-      the experiment shape checks use — Engine.Stats re-exports it).
+      the experiment shape checks use).
 
     Used for per-node load distributions and per-phase wall-clock; the
     registry is single-domain (no locking), like the engines. *)

@@ -55,8 +55,8 @@ let resolve_trace ?(base_dir = ".") (spec : Spec.t) =
    to the cap. *)
 let stall_window ~period ~n ~k = max 64 (max (2 * period) (2 * n * k))
 
-let fault_plan (spec : Spec.t) ~seed =
-  match spec.faults with
+let fault_plan (faults : Spec.faults option) ~seed =
+  match faults with
   | None -> Faults.Plan.none
   | Some f ->
       Faults.Plan.make ~loss:f.loss ~dup:f.dup ~crash:f.crash
@@ -66,17 +66,16 @@ let fault_plan (spec : Spec.t) ~seed =
 
 (* Instance construction mirrors the [dynspread run] command: source 0
    for the single-source shape, a seeded random assignment otherwise. *)
-let instance_of (spec : Spec.t) ~n ~seed =
-  match spec.algorithm with
-  | Spec.Single_source -> Gossip.Instance.single_source ~n ~k:spec.k ~source:0
+let instance (algorithm : Spec.algorithm) ~n ~k ~s ~seed =
+  match algorithm with
+  | Spec.Single_source -> Gossip.Instance.single_source ~n ~k ~source:0
   | Spec.Flooding | Spec.Multi_source | Spec.Oblivious_rw ->
-      if spec.s <= 1 then
-        Gossip.Instance.single_source ~n ~k:spec.k ~source:0
+      if s <= 1 then Gossip.Instance.single_source ~n ~k ~source:0
       else
         Gossip.Instance.multi_source
           ~rng:(Dynet.Rng.make ~seed:(seed + 1))
-          ~n ~k:spec.k
-          ~s:(min spec.s (min n spec.k))
+          ~n ~k
+          ~s:(min s (min n k))
 
 let base_extra (spec : Spec.t) ~n ~seed =
   [
@@ -135,8 +134,8 @@ let run_point (spec : Spec.t) ?engine ?obs ?cancel ~trace ~n ~prof ~seed () =
     spec.name ^ "/" ^ Spec.algorithm_name spec.algorithm ^ "/seed="
     ^ string_of_int seed
   in
-  let faults = fault_plan spec ~seed in
-  let instance = instance_of spec ~n ~seed in
+  let faults = fault_plan spec.faults ~seed in
+  let instance = instance spec.algorithm ~n ~k:spec.k ~s:spec.s ~seed in
   (* Trace envs replay with [Loop]: the schedule is periodic, so the
      engines' livelock detector has a sound window to watch. *)
   let stall_after =

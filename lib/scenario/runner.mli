@@ -37,6 +37,18 @@ val stall_window : period:int -> n:int -> k:int -> int
     periods and two full flooding phase cycles, so no live protocol
     can trip it, while staying far below the unicast round cap. *)
 
+val instance :
+  Spec.algorithm -> n:int -> k:int -> s:int -> seed:int -> Gossip.Instance.t
+(** Token placement for one run, as the [dynspread run] command builds
+    it: source 0 for [single-source] and for [s <= 1], otherwise a
+    random assignment of [min s (min n k)] sources seeded by
+    [seed + 1]. *)
+
+val fault_plan : Spec.faults option -> seed:int -> Faults.Plan.t
+(** The fault plan a spec's [faults] block describes
+    ({!Faults.Plan.none} for [None]); the fault seed defaults to the
+    run's [seed]. *)
+
 val builtin_schedule :
   env:Spec.env -> sigma:int -> n:int -> seed:int ->
   Adversary.Schedule.t option

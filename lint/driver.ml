@@ -27,7 +27,7 @@ let default_config =
     physeq_allowed =
       [
       "lib/dynet/graph.ml"; "lib/dynet/stability.ml"; "lib/dynet/csr.ml";
-      "lib/engine/soa.ml";
+      "lib/engine/round_harness.ml";
     ];
     mli_required = [ "lib/" ];
     unsafe_audited = [ "lib/dynet/"; "lib/engine/" ];

@@ -162,18 +162,18 @@ let test_msg_class_indexing () =
 
 let test_stats_basics () =
   let xs = [ 1.; 2.; 3.; 4. ] in
-  check (Alcotest.float 1e-9) "mean" 2.5 (Engine.Stats.mean xs);
-  check (Alcotest.float 1e-9) "median even" 2.5 (Engine.Stats.median xs);
-  check (Alcotest.float 1e-9) "median odd" 2. (Engine.Stats.median [ 1.; 2.; 7. ]);
-  check (Alcotest.float 1e-9) "min" 1. (Engine.Stats.minimum xs);
-  check (Alcotest.float 1e-9) "max" 4. (Engine.Stats.maximum xs);
-  check (Alcotest.float 1e-6) "stddev" (sqrt 1.25) (Engine.Stats.stddev xs);
+  check (Alcotest.float 1e-9) "mean" 2.5 (Obs.Stats.mean xs);
+  check (Alcotest.float 1e-9) "median even" 2.5 (Obs.Stats.median xs);
+  check (Alcotest.float 1e-9) "median odd" 2. (Obs.Stats.median [ 1.; 2.; 7. ]);
+  check (Alcotest.float 1e-9) "min" 1. (Obs.Stats.minimum xs);
+  check (Alcotest.float 1e-9) "max" 4. (Obs.Stats.maximum xs);
+  check (Alcotest.float 1e-6) "stddev" (sqrt 1.25) (Obs.Stats.stddev xs);
   check (Alcotest.float 1e-9) "p100 = max" 4.
-    (Engine.Stats.percentile xs ~p:100.);
-  check (Alcotest.float 1e-9) "p50" 2. (Engine.Stats.percentile xs ~p:50.)
+    (Obs.Stats.percentile xs ~p:100.);
+  check (Alcotest.float 1e-9) "p50" 2. (Obs.Stats.percentile xs ~p:50.)
 
 let test_stats_linear_fit () =
-  let a, b = Engine.Stats.linear_fit [ (0., 1.); (1., 3.); (2., 5.) ] in
+  let a, b = Obs.Stats.linear_fit [ (0., 1.); (1., 3.); (2., 5.) ] in
   check (Alcotest.float 1e-9) "intercept" 1. a;
   check (Alcotest.float 1e-9) "slope" 2. b
 
@@ -183,23 +183,23 @@ let test_stats_loglog_slope () =
       let x = float_of_int (i + 1) in
       (x, 5. *. (x ** 3.)))
   in
-  check (Alcotest.float 1e-6) "slope 3" 3. (Engine.Stats.loglog_slope points)
+  check (Alcotest.float 1e-6) "slope 3" 3. (Obs.Stats.loglog_slope points)
 
 let test_stats_percentile_edges () =
   let xs = [ 4.; 1.; 3.; 2. ] in
-  check (Alcotest.float 1e-9) "p0 = min" 1. (Engine.Stats.percentile xs ~p:0.);
+  check (Alcotest.float 1e-9) "p0 = min" 1. (Obs.Stats.percentile xs ~p:0.);
   check (Alcotest.float 1e-9) "p100 = max" 4.
-    (Engine.Stats.percentile xs ~p:100.);
+    (Obs.Stats.percentile xs ~p:100.);
   check (Alcotest.float 1e-9) "singleton p0" 9.
-    (Engine.Stats.percentile [ 9. ] ~p:0.);
+    (Obs.Stats.percentile [ 9. ] ~p:0.);
   check (Alcotest.float 1e-9) "singleton p50" 9.
-    (Engine.Stats.percentile [ 9. ] ~p:50.);
+    (Obs.Stats.percentile [ 9. ] ~p:50.);
   check (Alcotest.float 1e-9) "singleton p100" 9.
-    (Engine.Stats.percentile [ 9. ] ~p:100.)
+    (Obs.Stats.percentile [ 9. ] ~p:100.)
 
 let test_stats_empty_raises () =
   Alcotest.check_raises "mean of empty" (Invalid_argument "Stats.mean: empty list")
-    (fun () -> ignore (Engine.Stats.mean []))
+    (fun () -> ignore (Obs.Stats.mean []))
 
 (* {2 A toy broadcast protocol: each node knows its id as a "token";
    everyone broadcasts everything they know, round-robin.  Progress =

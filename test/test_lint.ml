@@ -541,8 +541,14 @@ let test_shipped_tree_clean () =
   check Alcotest.int "every unsafe site is guarded or waived"
     stats.Driver.unsafe_sites
     (stats.Driver.unsafe_guarded + stats.Driver.unsafe_waived);
-  check Alcotest.bool "the SoA shard jobs are analyzed" true
-    (List.length stats.Driver.shard_jobs >= 6);
+  check
+    Alcotest.(list string)
+    "the SoA plane-kernel shard jobs are analyzed"
+    [
+      "Soa.run_plane.apply_job"; "Soa.run_plane.intent_job";
+      "Soa.run_plane.push_job"; "Soa.run_plane.receive_job";
+    ]
+    (List.sort String.compare stats.Driver.shard_jobs);
   (* The Sweep audit must actually cover the experiment stack. *)
   List.iter
     (fun id ->

@@ -311,6 +311,105 @@ let test_faulty_runs_delegate_identically () =
         (report base) (report r))
     soa_engines
 
+(* {2 Every outcome on every engine}
+
+   One row per {!Engine.Run_result.outcome}, run on the fastpath, SoA
+   (one and two shards) and reference engines, broadcast (flooding, the
+   SoA plane kernel when no fault plan is active) and unicast
+   (single-source).  Every engine's report must be byte-identical to
+   the fastpath one, and each row pins its verdict, so a case that
+   drifts into another outcome fails instead of comparing the wrong
+   thing. *)
+
+type outcome_case = {
+  verdict : string;
+  max_rounds : int option;
+  stall_after : int option;
+  cancel_poll : int option;  (** The poll that first answers true. *)
+  faults : Faults.Plan.t;
+}
+
+let verdict_of (r : Engine.Run_result.t) =
+  match r.Engine.Run_result.outcome with
+  | Engine.Run_result.Completed -> "completed"
+  | Engine.Run_result.Partial _ -> "partial"
+  | Engine.Run_result.Stalled _ -> "stalled"
+  | Engine.Run_result.Cancelled _ -> "cancelled"
+  | Engine.Run_result.Aborted _ -> "aborted"
+
+let test_every_outcome_on_every_engine () =
+  let n = 8 and k = 3 in
+  let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
+  let looped =
+    Scenario.Replay.schedule ~past_end:Scenario.Replay.Loop
+      (Scenario.Trace_io.of_graphs ~seed:0 ~provenance:"test" ~n
+         [ Dynet.Graph_gen.path ~n; Dynet.Graph_gen.cycle ~n ])
+  in
+  let engines =
+    ("fastpath", Engine.Default.engine)
+    :: ("reference", Engine.Reference.engine)
+    :: List.filter
+         (fun (name, _) -> not (String.equal name "soa-4"))
+         soa_engines
+  in
+  let row ?max_rounds ?stall_after ?cancel_poll ?(faults = Faults.Plan.none)
+      verdict =
+    { verdict; max_rounds; stall_after; cancel_poll; faults }
+  in
+  let cases =
+    [
+      ("completed", row "completed");
+      ("stalled on the looped schedule", row ~stall_after:1 "stalled");
+      ("cancelled before round 1", row ~cancel_poll:1 "cancelled");
+      ("cancelled mid-run", row ~cancel_poll:4 "cancelled");
+      ("partial at the cap", row ~max_rounds:3 "partial");
+      ( "aborted, all nodes crashed",
+        row
+          ~faults:
+            (Faults.Plan.scripted ~crashes:(List.init n (fun v -> (1, v))) ())
+          "aborted" );
+    ]
+  in
+  let cancel_of c =
+    Option.map
+      (fun p ->
+        let polls = ref 0 in
+        fun () ->
+          incr polls;
+          !polls >= p)
+      c.cancel_poll
+  in
+  let flood c engine =
+    fst
+      (Gossip.Runners.flooding ~instance ~schedule:looped ~engine
+         ?max_rounds:c.max_rounds ?stall_after:c.stall_after
+         ?cancel:(cancel_of c) ~faults:c.faults ())
+  in
+  let single c engine =
+    fst
+      (Gossip.Runners.single_source ~instance
+         ~env:(Gossip.Runners.Oblivious looped) ~engine
+         ?max_rounds:c.max_rounds ?stall_after:c.stall_after
+         ?cancel:(cancel_of c) ~faults:c.faults ())
+  in
+  List.iter
+    (fun (cname, c) ->
+      List.iter
+        (fun (pname, run) ->
+          let base = run c Engine.Default.engine in
+          check Alcotest.string
+            (Printf.sprintf "%s %s: verdict" pname cname)
+            c.verdict (verdict_of base);
+          List.iter
+            (fun (ename, engine) ->
+              check Alcotest.string
+                (Printf.sprintf "%s %s under %s matches fastpath" pname cname
+                   ename)
+                (report base) (report (run c engine)))
+            engines)
+        [ ("flooding", flood); ("single-source", single) ])
+    cases
+
 let test_boundary_mutant_observable () =
   (* The seeded off-by-one (shard 1 starts one node late) must change
      behaviour — it is the fuzz harness's detection canary, so a
@@ -465,6 +564,8 @@ let suite =
       test_unicast_identical;
     Alcotest.test_case "soa: faulty runs delegate identically" `Quick
       test_faulty_runs_delegate_identically;
+    Alcotest.test_case "engines: every outcome byte-identical" `Quick
+      test_every_outcome_on_every_engine;
     Alcotest.test_case "soa: boundary mutant is observable" `Quick
       test_boundary_mutant_observable;
     Alcotest.test_case "soa: round loop allocation-free" `Quick
