@@ -3,10 +3,8 @@
    Subcommands mirror the experiment index in DESIGN.md:
 
      dynspread run         one protocol x environment x instance run
-     dynspread experiments the paper's tables/figures (all or by id)
-     dynspread table1      just E1
-     dynspread lowerbound  just E2 (+E3)
-     dynspread competitive just E4/E5/E6
+     dynspread experiments the paper's tables/figures (all or by id;
+                           --sizes overrides the swept node counts)
      dynspread sweep       size sweeps of one protocol x environment
      dynspread scenario    record / import / validate / run declarative
                            scenario workloads (lib/scenario)
@@ -15,6 +13,8 @@
      dynspread submit      client for `serve`: submit specs, stream back
                            reports byte-identical to `scenario run`
 
+   `run` and `sweep` compile their flags into scenario specs and run
+   them through lib/scenario, like `scenario run`.
    Every command is deterministic in --seed.  `run` and `sweep` take
    --trace FILE.jsonl (per-round event trace, NDJSON) and --json
    (machine-readable run report on stdout); see README "Observability"
@@ -181,43 +181,15 @@ let reliable_arg =
           "Wrap the unicast protocol in the ack/retransmit reliability \
            wrapper (single-source and multi-source only).")
 
-(* Numeric-flag validation, bench/main.exe style: error line, usage,
-   exit 2 — cmdliner's own failures keep their usual exit code, this
-   path is for values that parse but make no sense. *)
-let flags_usage () =
-  Obs.Console.lines
-    [
-      "usage: --loss/--dup-rate/--crash-rate/--restart-rate take a \
-       probability in [0, 1];";
-      "       --max-delay takes a round count >= 0; --seed/--fault-seed \
-       take a seed >= 0";
-    ]
-
+(* Numeric-flag validation, bench/main.exe style: error line, exit 2 —
+   cmdliner's own failures keep their usual exit code, this path is
+   for values that parse but make no sense. *)
 let bad_flag fmt =
   Printf.ksprintf
     (fun msg ->
       Obs.Console.error ("error: " ^ msg);
-      flags_usage ();
       exit 2)
     fmt
-
-let validate_prob ~flag p =
-  if not (Float.is_finite p && p >= 0. && p <= 1.) then
-    bad_flag "--%s %g is not a probability in [0, 1]" flag p
-
-let validate_seed ~flag s = if s < 0 then bad_flag "--%s %d is negative" flag s
-
-let fault_plan ~loss ~dup ~crash ~restart ~max_delay ~fault_seed ~seed =
-  validate_prob ~flag:"loss" loss;
-  validate_prob ~flag:"dup-rate" dup;
-  validate_prob ~flag:"crash-rate" crash;
-  validate_prob ~flag:"restart-rate" restart;
-  if max_delay < 0 then bad_flag "--max-delay %d is negative" max_delay;
-  validate_seed ~flag:"seed" seed;
-  Option.iter (validate_seed ~flag:"fault-seed") fault_seed;
-  Faults.Plan.make ~loss ~dup ~crash ~restart ~max_delay
-    ~seed:(Option.value fault_seed ~default:seed)
-    ()
 
 (* [None] means "the default fastpath engine" — callers use it to tell
    an explicit engine request apart from the default, since a few run
@@ -318,93 +290,59 @@ let exit_on_signals () =
   install_signal Sys.sigint exit_130;
   install_signal Sys.sigterm exit_130
 
-(* {2 run} *)
+(* {2 run and sweep}
 
-type protocol_choice = Flooding | Single | Multi | Rw
+   Both compile their flags into [Scenario.Spec.t]s, check them with
+   [Scenario.Spec.validate] (the validator spec files go through) and
+   run them through [Scenario.Runner] — the path `scenario run`, the
+   serve daemon and the fuzzer take, so `run --json` prints exactly
+   what `scenario run` prints for the equivalent spec.  Two run shapes
+   have no spec form and keep one small branch each in `run`: the
+   [--reliable] wrapper and the lower-bound adversary. *)
 
-let protocol_conv =
-  Arg.enum
-    [ ("flooding", Flooding); ("single-source", Single);
-      ("multi-source", Multi); ("oblivious-rw", Rw) ]
-
-let protocol_name = function
-  | Flooding -> "flooding"
-  | Single -> "single-source"
-  | Multi -> "multi-source"
-  | Rw -> "oblivious-rw"
-
-let protocol_arg =
+let algorithm_arg =
   Arg.(
     value
-    & opt protocol_conv Single
+    & opt (enum Scenario.Spec.algorithms) Scenario.Spec.Single_source
     & info [ "protocol"; "algo" ] ~docv:"PROTOCOL"
         ~doc:
           "One of $(b,flooding), $(b,single-source), $(b,multi-source), \
            $(b,oblivious-rw).")
 
-type env_choice =
-  | Env_static
-  | Env_rotator
-  | Env_rewiring
-  | Env_markovian
-  | Env_fresh
-  | Env_cutter
-  | Env_lb
-
-let env_conv =
-  Arg.enum
-    [
-      ("static", Env_static); ("tree-rotator", Env_rotator);
-      ("rewiring", Env_rewiring); ("edge-markovian", Env_markovian);
-      ("fresh-random", Env_fresh); ("request-cutter", Env_cutter);
-      ("lower-bound", Env_lb);
-    ]
-
-let env_name = function
-  | Env_static -> "static"
-  | Env_rotator -> "tree-rotator"
-  | Env_rewiring -> "rewiring"
-  | Env_markovian -> "edge-markovian"
-  | Env_fresh -> "fresh-random"
-  | Env_cutter -> "request-cutter"
-  | Env_lb -> "lower-bound"
-
+(* Each environment flag names a spec env at the spec format's default
+   parameters; [None] is the lower-bound adversary, which no spec can
+   express. *)
 let env_arg =
+  let rewiring = Some (Scenario.Spec.Rewiring { extra = None; rate = 0.25 }) in
   Arg.(
-    value & opt env_conv Env_rewiring
+    value
+    & opt
+        (enum
+           [
+             ("static", Some (Scenario.Spec.Static { p = 0.15 }));
+             ("tree-rotator", Some Scenario.Spec.Tree_rotator);
+             ("rewiring", rewiring);
+             ( "edge-markovian",
+               Some (Scenario.Spec.Edge_markovian { p_up = None; p_down = 0.3 })
+             );
+             ("fresh-random", Some (Scenario.Spec.Fresh_random { p = 0.25 }));
+             ( "request-cutter",
+               Some (Scenario.Spec.Request_cutter { cut_prob = 0.7 }) );
+             ("lower-bound", None);
+           ])
+        rewiring
     & info [ "env" ] ~docv:"ENV"
         ~doc:
           "Environment: $(b,static), $(b,tree-rotator), $(b,rewiring), \
            $(b,edge-markovian), $(b,fresh-random), $(b,request-cutter) \
            (adaptive, unicast only), or $(b,lower-bound) (the Section-2 \
-           strongly adaptive adversary, flooding only).")
+           strongly adaptive adversary, flooding only, $(b,run) only).")
 
 let sigma_arg =
   Arg.(
     value & opt int 3
     & info [ "sigma" ] ~docv:"SIGMA"
         ~doc:"Edge-stability enforced on oblivious environments (>= 1).")
-
-let schedule_of_env ~env ~seed ~n ~sigma =
-  let stable s =
-    if sigma <= 1 then s else Adversary.Schedule.stabilized ~sigma s
-  in
-  match env with
-  | Env_static ->
-      Some
-        (Adversary.Oblivious.static
-           (Dynet.Graph_gen.random_connected (Dynet.Rng.make ~seed) ~n ~p:0.15))
-  | Env_rotator -> Some (stable (Adversary.Oblivious.tree_rotator ~seed ~n))
-  | Env_rewiring ->
-      Some
-        (stable (Adversary.Oblivious.rewiring ~seed ~n ~extra:n ~rate:0.25))
-  | Env_markovian ->
-      Some
-        (stable
-           (Adversary.Oblivious.edge_markovian ~seed ~n
-              ~p_up:(2. /. float_of_int n) ~p_down:0.3))
-  | Env_fresh -> Some (Adversary.Oblivious.fresh_random ~seed ~n ~p:0.25)
-  | Env_cutter | Env_lb -> None
 
 let timeline_arg =
   Arg.(
@@ -414,229 +352,208 @@ let timeline_arg =
           "After the summary, dump the per-round learning curve as CSV \
            (round,messages,learnings) for plotting.")
 
-let print_json_report report =
-  Obs.Console.out (Obs.Json.to_string (Obs.Report.to_json report))
-
-let report_run ?(timeline = false) ?(json = false) ?retransmits ~name ~n ~k
-    (result : Engine.Run_result.t) =
-  let ledger = result.ledger in
-  if json then
-    print_json_report
-      (Engine.Run_result.to_report ~name
-         ~extra:
-           ([
-              ( "amortized_per_token",
-                Obs.Json.Float (Engine.Ledger.amortized ledger ~k) );
-              ( "budget_n2_nk",
-                Obs.Json.Float (Gossip.Bounds.single_source_budget ~n ~k) );
-            ]
-           @
-           match retransmits with
-           | None -> []
-           | Some r -> [ ("retransmits", Obs.Json.Int r) ])
-         result)
-  else begin
-    Obs.Console.out (Format.asprintf "@[<v>%a@]" Engine.Run_result.pp result);
-    Obs.Console.out
-      (Printf.sprintf "amortized per token: %.2f"
-         (Engine.Ledger.amortized ledger ~k));
-    Obs.Console.out
-      (Printf.sprintf
-         "adversary-competitive (alpha=1): %.0f  [budget n^2+nk = %.0f]"
-         (Engine.Ledger.competitive_cost ledger ~alpha:1.)
-         (Gossip.Bounds.single_source_budget ~n ~k));
-    Obs.Console.out
-      (Printf.sprintf "per-node load: max %d, mean %.1f"
-         (Engine.Ledger.max_load ledger)
-         (Engine.Ledger.mean_load ledger));
-    (match retransmits with
-    | None -> ()
-    | Some r ->
-        Obs.Console.out
-          (Printf.sprintf "reliability wrapper: %d retransmissions" r));
-    if timeline then begin
-      Obs.Console.out "";
-      Obs.Console.out "round,messages,learnings";
-      List.iter
-        (fun (r, msgs, learned) ->
-          Obs.Console.out (Printf.sprintf "%d,%d,%d" r msgs learned))
-        result.timeline
-    end
-  end
-
-(* Algorithm 2 returns its own result record, not a Run_result; wrap
-   its merged ledger so the JSON report path is uniform. *)
-let rw_report ~name ~k (r : Gossip.Oblivious_rw.result) =
-  let as_run_result =
-    Engine.Run_result.make
-      ~rounds:(r.Gossip.Oblivious_rw.phase1_rounds + r.Gossip.Oblivious_rw.phase2_rounds)
-      ~completed:r.Gossip.Oblivious_rw.completed
-      ~ledger:r.Gossip.Oblivious_rw.ledger ~timeline:[] ()
+(* The spec a set of flags describes.  Sigma only applies to committed
+   schedules: for the adaptive adversaries it is capped at 1, so the
+   default 3 means nothing there while [--sigma 0] is still rejected.
+   The lower-bound adversary ([env = None]) stands on a placeholder
+   env: its spec carries the instance shape and the seed, never a
+   schedule. *)
+let spec_of_flags ~name ~algorithm ~env ~sigma ~n ~k ~s ~seed ~faults =
+  let env, sigma =
+    match env with
+    | Some (Scenario.Spec.Request_cutter _ as cutter) -> (cutter, min sigma 1)
+    | Some env -> (env, sigma)
+    | None -> (Scenario.Spec.Tree_rotator, min sigma 1)
   in
-  Engine.Run_result.to_report ~name
-    ~extra:
-      [
-        ("centers", Obs.Json.Int r.Gossip.Oblivious_rw.centers);
-        ("skipped_phase1", Obs.Json.Bool r.Gossip.Oblivious_rw.skipped_phase1);
-        ("phase1_rounds", Obs.Json.Int r.Gossip.Oblivious_rw.phase1_rounds);
-        ("phase1_settled", Obs.Json.Bool r.Gossip.Oblivious_rw.phase1_settled);
-        ("phase2_rounds", Obs.Json.Int r.Gossip.Oblivious_rw.phase2_rounds);
-        ("paper_messages", Obs.Json.Int r.Gossip.Oblivious_rw.paper_messages);
-        ( "amortized_per_token",
-          Obs.Json.Float
-            (float_of_int r.Gossip.Oblivious_rw.paper_messages
-            /. float_of_int k) );
-      ]
-    as_run_result
+  {
+    Scenario.Spec.name; algorithm; env; sigma; n = Some n; k; s; seed;
+    repeats = 1; faults; max_rounds = None;
+  }
+
+(* Scenario validation failures are invocation problems, same bucket
+   as bad flags: every message to stderr, exit 2. *)
+let spec_errors ?(hint = []) header errs =
+  Obs.Console.error ("error: " ^ header);
+  Obs.Console.lines (List.map (fun e -> "  - " ^ e) errs @ hint);
+  exit 2
+
+(* Every problem of every spec, each once, naming the flag each spec
+   field comes from. *)
+let check_specs specs =
+  let add acc e = if List.exists (String.equal e) acc then acc else e :: acc in
+  match
+    List.fold_left
+      (fun acc spec ->
+        match Scenario.Spec.validate spec with
+        | Ok _ -> acc
+        | Error errs -> List.fold_left add acc errs)
+      [] specs
+  with
+  | [] -> ()
+  | errs ->
+      spec_errors "the flags describe an invalid run:" (List.rev errs)
+        ~hint:
+          [
+            "(spec fields come from -n, -k, -s, --sigma, --seed, and faults \
+             from --loss, --dup-rate, --crash-rate, --restart-rate, \
+             --max-delay, --fault-seed)";
+          ]
+
+let prepare spec =
+  match Scenario.Runner.prepare spec with
+  | Ok p -> p
+  | Error e ->
+      Obs.Console.error ("error: " ^ e);
+      exit 2
+
+let print_report ~json ~timeline (r : Obs.Report.t) =
+  if json then Obs.Console.out (Obs.Json.to_string (Obs.Report.to_json r))
+  else begin
+    let amortized, rest =
+      List.partition
+        (fun (key, _) -> String.equal key "amortized_per_token")
+        r.extra
+    in
+    let amortized =
+      List.filter_map (fun (_, v) -> Obs.Json.to_float_opt v) amortized
+    in
+    let fields pairs =
+      String.concat " "
+        (List.map (fun (key, v) -> key ^ "=" ^ v) pairs)
+    in
+    List.iter Obs.Console.out
+      ([
+         Printf.sprintf "%s: %s after %d rounds" r.name
+           (if r.completed then "completed" else "NOT completed")
+           r.rounds;
+         fields
+           [
+             ("messages", string_of_int r.messages);
+             ("tc", string_of_int r.tc);
+             ("removals", string_of_int r.removals);
+             ("learnings", string_of_int r.learnings);
+           ];
+         fields (List.map (fun (c, v) -> (c, string_of_int v)) r.class_counts);
+       ]
+      @ List.map (Printf.sprintf "amortized per token: %.2f") amortized
+      @ [
+          Printf.sprintf "adversary-competitive (alpha=%g): %.0f" r.alpha
+            r.competitive_cost;
+          Printf.sprintf "per-node load: max %d, mean %.1f" r.max_load
+            r.mean_load;
+          fields (List.map (fun (key, v) -> (key, Obs.Json.to_string v)) rest);
+        ]);
+    if timeline then
+      List.iter Obs.Console.out
+        (""
+        :: "round,messages,learnings"
+        :: List.map
+             (fun (round, msgs, learned) ->
+               Printf.sprintf "%d,%d,%d" round msgs learned)
+             r.timeline)
+  end
 
 let run_cmd =
   let doc = "Run one protocol in one environment and print the cost ledger." in
-  let run protocol env n k s sigma seed loss dup crash restart max_delay
+  let run algorithm env n k s sigma seed loss dup crash restart max_delay
       fault_seed reliable timeline trace profile json check engine shards =
     Check.set_enabled check;
-    let eng_opt = resolve_engine ~engine ~shards in
-    let faults =
-      fault_plan ~loss ~dup ~crash ~restart ~max_delay ~fault_seed ~seed
+    let engine = resolve_engine ~engine ~shards in
+    let spec =
+      spec_of_flags ~name:"run" ~algorithm ~env ~sigma ~n ~k ~s ~seed
+        ~faults:
+          (Some { Scenario.Spec.loss; dup; crash; restart; max_delay; fault_seed })
     in
-    let faulty = not (Faults.Plan.is_none faults) in
-    let name = protocol_name protocol ^ "/" ^ env_name env in
-    with_trace trace @@ fun obs ->
-    with_profile profile @@ fun prof ->
-    let instance =
-      match protocol with
-      | Single -> Gossip.Instance.single_source ~n ~k ~source:0
-      | Flooding | Multi | Rw ->
-          if s <= 1 then Gossip.Instance.single_source ~n ~k ~source:0
-          else
-            Gossip.Instance.multi_source
-              ~rng:(Dynet.Rng.make ~seed:(seed + 1))
-              ~n ~k ~s:(min s (min n k))
+    check_specs [ spec ];
+    let faulty =
+      not (Faults.Plan.is_none (Scenario.Runner.fault_plan spec.faults ~seed))
     in
-    let run_unicast envv =
-      match (protocol, reliable) with
-      | Single, true ->
-          let result, _, rt =
-            Gossip.Runners.reliable_single_source ~instance ~env:envv ~faults
-              ~obs ~prof ()
-          in
-          (result, Some rt)
-      | Single, false ->
-          ( fst
-              (Gossip.Runners.single_source ~instance ~env:envv
-                 ?engine:eng_opt ~faults ~obs ~prof ()),
-            None )
-      | (Multi | Flooding | Rw), true ->
-          let result, _, rt =
-            Gossip.Runners.reliable_multi_source ~instance ~env:envv ~faults
-              ~obs ~prof ()
-          in
-          (result, Some rt)
-      | (Multi | Flooding | Rw), false ->
-          ( fst
-              (Gossip.Runners.multi_source ~instance ~env:envv
-                 ?engine:eng_opt ~faults ~obs ~prof ()),
-            None )
-    in
-    match (protocol, env) with
-    | _, _ when reliable && Option.is_some eng_opt ->
-        `Error
-          (false,
-           "--engine selects the engine-parametric protocols' engine; the \
-            --reliable wrapper runs on the fastpath engine only")
-    | Rw, _ when Option.is_some eng_opt ->
-        `Error
-          (false, "oblivious-rw is not engine-parametric; drop --engine")
-    | Flooding, Env_lb when Option.is_some eng_opt ->
-        `Error
-          (false,
-           "the lower-bound adversary run is not engine-parametric; drop \
-            --engine")
-    | (Flooding | Rw), _ when reliable ->
-        `Error
-          (false,
-           "--reliable wraps a unicast protocol: use single-source or \
-            multi-source")
-    | Rw, _ when faulty ->
-        `Error
-          (false,
-           "oblivious-rw does not take a fault plan yet; drop the fault flags")
-    | Flooding, Env_lb when faulty ->
-        `Error
-          (false,
-           "the lower-bound adversary models worst-case scheduling, not \
-            faults; drop the fault flags")
-    | (Single | Multi), Env_cutter ->
-        let envv =
-          Gossip.Runners.Request_cutting { seed; cut_prob = 0.7 }
-        in
-        let result, rt = run_unicast envv in
-        report_run ~timeline ~json ?retransmits:rt ~name ~n ~k result;
-        `Ok ()
-    | Flooding, Env_lb ->
-        let result, _, lb =
-          Gossip.Runners.flooding_vs_lower_bound ~instance ~seed ~obs ~prof ()
-        in
-        report_run ~timeline ~json ~name ~n ~k result;
-        if not json then begin
-          let history = Adversary.Broadcast_lb.history lb in
-          let max_c = List.fold_left (fun a (_, c) -> max a c) 0 history in
-          Obs.Console.out
-            (Printf.sprintf
-               "lower-bound adversary: max free components %d (log n = %.1f)"
-               max_c (Gossip.Bounds.logn n))
-        end;
-        `Ok ()
-    | _, (Env_cutter | Env_lb) ->
-        `Error
-          (false,
-           "request-cutter needs a unicast protocol; lower-bound needs \
-            flooding")
+    let fail msg = `Error (false, msg) in
+    match (algorithm, env) with
+    | _, _ when reliable && Option.is_some engine ->
+        fail
+          "--engine selects the engine-parametric protocols' engine; the \
+           --reliable wrapper runs on the fastpath engine only"
+    | Scenario.Spec.Oblivious_rw, _ when Option.is_some engine ->
+        fail "oblivious-rw is not engine-parametric; drop --engine"
+    | _, None when Option.is_some engine ->
+        fail
+          "the lower-bound adversary run is not engine-parametric; drop \
+           --engine"
+    | (Scenario.Spec.Flooding | Scenario.Spec.Oblivious_rw), _ when reliable ->
+        fail
+          "--reliable wraps a unicast protocol: use single-source or \
+           multi-source"
+    | _, None when faulty ->
+        fail
+          "the lower-bound adversary models worst-case scheduling, not \
+           faults; drop the fault flags"
+    | ( ( Scenario.Spec.Single_source | Scenario.Spec.Multi_source
+        | Scenario.Spec.Oblivious_rw ),
+        None ) ->
+        fail "lower-bound needs flooding"
     | _, _ -> (
-        match schedule_of_env ~env ~seed ~n ~sigma with
-        | None -> `Error (false, "unsupported environment")
-        | Some schedule -> (
-            match protocol with
-            | Flooding ->
-                let result, _ =
-                  Gossip.Runners.flooding ~instance ~schedule ?engine:eng_opt
-                    ~faults ~obs ~prof ()
-                in
-                report_run ~timeline ~json ~name ~n ~k result;
-                `Ok ()
-            | Single | Multi ->
-                let result, rt =
-                  run_unicast (Gossip.Runners.Oblivious schedule)
-                in
-                report_run ~timeline ~json ?retransmits:rt ~name ~n ~k result;
-                `Ok ()
-            | Rw ->
-                let r =
-                  Gossip.Runners.oblivious_rw ~instance ~schedule ~seed
-                    ~const_f:0.05 ~force_rw:true ~obs ~prof ()
-                in
-                if json then print_json_report (rw_report ~name ~k r)
-                else begin
-                  Obs.Console.out
-                    (Format.asprintf
-                       "@[<v>algorithm 2: centers=%d phase1=%d rounds \
-                        (settled: %b) phase2=%d rounds completed=%b@ %a@]"
-                       r.Gossip.Oblivious_rw.centers
-                       r.Gossip.Oblivious_rw.phase1_rounds
-                       r.Gossip.Oblivious_rw.phase1_settled
-                       r.Gossip.Oblivious_rw.phase2_rounds
-                       r.Gossip.Oblivious_rw.completed Engine.Ledger.pp
-                       r.Gossip.Oblivious_rw.ledger);
-                  Obs.Console.out
-                    (Printf.sprintf "paper messages (sans center chatter): %d"
-                       r.Gossip.Oblivious_rw.paper_messages)
-                end;
-                `Ok ()))
+        let prepared = prepare spec in
+        let n = prepared.Scenario.Runner.n in
+        with_trace trace @@ fun obs ->
+        with_profile profile @@ fun prof ->
+        let instance () =
+          Scenario.Runner.instance algorithm ~n ~k ~s ~seed
+        in
+        match env with
+        | None ->
+            let result, _, lb =
+              Gossip.Runners.flooding_vs_lower_bound ~instance:(instance ())
+                ~seed ~obs ~prof ()
+            in
+            print_report ~json ~timeline
+              (Scenario.Runner.report spec ~n ~seed result);
+            if not json then begin
+              let history = Adversary.Broadcast_lb.history lb in
+              let max_c = List.fold_left (fun a (_, c) -> max a c) 0 history in
+              Obs.Console.out
+                (Printf.sprintf
+                   "lower-bound adversary: max free components %d (log n = \
+                    %.1f)"
+                   max_c (Gossip.Bounds.logn n))
+            end;
+            `Ok ()
+        | Some _ when reliable ->
+            let instance = instance () in
+            let faults = Scenario.Runner.fault_plan spec.faults ~seed in
+            let env = Scenario.Runner.unicast_env prepared ~seed in
+            let result, retransmits =
+              match algorithm with
+              | Scenario.Spec.Single_source ->
+                  let result, _, rt =
+                    Gossip.Runners.reliable_single_source ~instance ~env
+                      ~faults ~obs ~prof ()
+                  in
+                  (result, rt)
+              | _ ->
+                  let result, _, rt =
+                    Gossip.Runners.reliable_multi_source ~instance ~env
+                      ~faults ~obs ~prof ()
+                  in
+                  (result, rt)
+            in
+            print_report ~json ~timeline
+              (Scenario.Runner.report spec ~n ~seed result);
+            if not json then
+              Obs.Console.out
+                (Printf.sprintf "reliability wrapper: %d retransmissions"
+                   retransmits);
+            `Ok ()
+        | Some _ ->
+            print_report ~json ~timeline
+              (Scenario.Runner.run_repeat ?engine ~obs ~prof prepared ~seed);
+            `Ok ())
   in
   Cmd.v
     (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const run $ protocol_arg $ env_arg $ n_arg 24 $ k_arg 48 $ s_arg
+        (const run $ algorithm_arg $ env_arg $ n_arg 24 $ k_arg 48 $ s_arg
         $ sigma_arg $ seed_arg $ loss_arg $ dup_arg $ crash_arg $ restart_arg
         $ max_delay_arg $ fault_seed_arg $ reliable_arg $ timeline_arg
         $ trace_arg $ profile_arg $ json_arg $ check_arg $ engine_arg
@@ -672,9 +589,22 @@ let experiments_cmd =
           ~doc:
             "Experiment ids (e0 e1 ... e18); default: all.")
   in
-  let run ids csv seed jobs timings profile check =
+  let sizes =
+    Arg.(
+      value
+      & opt (some (list int)) None
+      & info [ "sizes" ] ~docv:"N,N,..."
+          ~doc:
+            "Node counts to sweep in the experiments that sweep n (e1, e2, \
+             e4, e8, e12, e13, e18); the others ignore it. Default: each \
+             experiment's own sizes.")
+  in
+  let run ids ns csv seed jobs timings profile check =
     Check.set_enabled check;
     exit_on_signals ();
+    Option.iter
+      (List.iter (fun n -> if n < 2 then bad_flag "--sizes: %d < 2 nodes" n))
+      ns;
     let metrics = if timings then Some (Obs.Metrics.create ()) else None in
     let selected =
       match ids with [] -> List.map snd experiment_names | _ :: _ -> ids
@@ -685,23 +615,25 @@ let experiments_cmd =
         let table =
           match id with
           | `E0 -> Analysis.Experiments.environments ?metrics ~seed ()
-          | `E1 -> Analysis.Experiments.table1 ~jobs ?metrics ~prof ~seed ()
-          | `E2 -> Analysis.Experiments.lower_bound ?metrics ~seed ()
+          | `E1 -> Analysis.Experiments.table1 ?ns ~jobs ?metrics ~prof ~seed ()
+          | `E2 -> Analysis.Experiments.lower_bound ?ns ?metrics ~seed ()
           | `E3 -> Analysis.Experiments.free_edges ?metrics ~seed ()
-          | `E4 -> Analysis.Experiments.single_source ~jobs ?metrics ~prof ~seed ()
+          | `E4 ->
+              Analysis.Experiments.single_source ?ns ~jobs ?metrics ~prof ~seed
+                ()
           | `E6 -> Analysis.Experiments.multi_source ?metrics ~seed ()
           | `E7 -> Analysis.Experiments.rw_scaling ~jobs ?metrics ~prof ~seed ()
-          | `E8 -> Analysis.Experiments.static_baseline ?metrics ~seed ()
+          | `E8 -> Analysis.Experiments.static_baseline ?ns ?metrics ~seed ()
           | `E9 -> Analysis.Experiments.time_vs_messages ?metrics ~seed ()
           | `E10 -> Analysis.Experiments.ablation ?metrics ~seed ()
           | `E11 -> Analysis.Experiments.rw_tradeoff ?metrics ~seed ()
-          | `E12 -> Analysis.Experiments.coding_gap ?metrics ~seed ()
-          | `E13 -> Analysis.Experiments.leader_election ?metrics ~seed ()
+          | `E12 -> Analysis.Experiments.coding_gap ?ns ?metrics ~seed ()
+          | `E13 -> Analysis.Experiments.leader_election ?ns ?metrics ~seed ()
           | `E14 -> Analysis.Experiments.adaptivity ?metrics ~seed ()
           | `E15 -> Analysis.Experiments.robustness_loss ?metrics ~seed ()
           | `E16 -> Analysis.Experiments.robustness_crash ?metrics ~seed ()
           | `E17 -> Scenario.Experiment.real_trace ~jobs ?metrics ~seed ()
-          | `E18 -> Analysis.Experiments.mega ?metrics ~seed ()
+          | `E18 -> Analysis.Experiments.mega ?ns ?metrics ~seed ()
         in
         print_table ~csv table)
       selected;
@@ -721,49 +653,8 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments" ~doc)
     Term.(
-      const run $ which $ csv_arg $ seed_arg $ jobs_arg $ timings_arg
+      const run $ which $ sizes $ csv_arg $ seed_arg $ jobs_arg $ timings_arg
       $ profile_arg $ check_arg)
-
-(* {2 focused shortcuts} *)
-
-let table1_cmd =
-  let doc = "E1: the paper's Table 1 (Algorithm 2's amortized complexity)." in
-  let ns =
-    Arg.(
-      value
-      & opt (list int) [ 24; 32 ]
-      & info [ "sizes" ] ~docv:"N,N,..." ~doc:"Node counts to sweep.")
-  in
-  let run ns csv seed jobs =
-    print_table ~csv (Analysis.Experiments.table1 ~ns ~jobs ~seed ())
-  in
-  Cmd.v
-    (Cmd.info "table1" ~doc)
-    Term.(const run $ ns $ csv_arg $ seed_arg $ jobs_arg)
-
-let lowerbound_cmd =
-  let doc = "E2+E3: the Section-2 local-broadcast lower bound." in
-  let ns =
-    Arg.(
-      value
-      & opt (list int) [ 16; 24; 32 ]
-      & info [ "sizes" ] ~docv:"N,N,..." ~doc:"Node counts to sweep.")
-  in
-  let run ns csv seed =
-    print_table ~csv (Analysis.Experiments.lower_bound ~ns ~seed ());
-    print_table ~csv (Analysis.Experiments.free_edges ~seed ())
-  in
-  Cmd.v (Cmd.info "lowerbound" ~doc) Term.(const run $ ns $ csv_arg $ seed_arg)
-
-let competitive_cmd =
-  let doc =
-    "E4/E5/E6: adversary-competitive accounting of the unicast algorithms."
-  in
-  let run csv seed =
-    print_table ~csv (Analysis.Experiments.single_source ~seed ());
-    print_table ~csv (Analysis.Experiments.multi_source ~seed ())
-  in
-  Cmd.v (Cmd.info "competitive" ~doc) Term.(const run $ csv_arg $ seed_arg)
 
 (* {2 sweep} *)
 
@@ -783,136 +674,70 @@ let sweep_cmd =
       value & opt int 2
       & info [ "k-factor" ] ~docv:"F" ~doc:"Tokens per size: k = F * n.")
   in
-  let run protocol env sizes k_factor sigma seed csv trace json =
-    with_trace trace @@ fun obs ->
-    let rows = ref [] in
-    let reports = ref [] in
-    let ok = ref true in
-    List.iter
-      (fun n ->
-        let k = max 1 (k_factor * n) in
-        let run_one () =
-          match (protocol, env) with
-          | (Single | Multi), Env_cutter ->
-              let envv =
-                Gossip.Runners.Request_cutting { seed; cut_prob = 0.7 }
-              in
-              let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
-              Some
-                (match protocol with
-                | Single ->
-                    fst
-                      (Gossip.Runners.single_source ~instance ~env:envv ~obs ())
-                | Multi | Flooding | Rw ->
-                    fst
-                      (Gossip.Runners.multi_source ~instance ~env:envv ~obs ()))
-          | _, (Env_cutter | Env_lb) -> None
-          | _, _ -> (
-              match schedule_of_env ~env ~seed:(seed + n) ~n ~sigma with
-              | None -> None
-              | Some schedule -> (
-                  match protocol with
-                  | Flooding ->
-                      let instance = Gossip.Instance.one_per_node ~n in
-                      Some
-                        (fst
-                           (Gossip.Runners.flooding ~instance ~schedule ~obs ()))
-                  | Single ->
-                      let instance =
-                        Gossip.Instance.single_source ~n ~k ~source:0
-                      in
-                      Some
-                        (fst
-                           (Gossip.Runners.single_source ~instance
-                              ~env:(Gossip.Runners.Oblivious schedule) ~obs ()))
-                  | Multi ->
-                      let instance =
-                        Gossip.Instance.multi_source
-                          ~rng:(Dynet.Rng.make ~seed:(seed + n))
-                          ~n ~k ~s:(min n k)
-                      in
-                      Some
-                        (fst
-                           (Gossip.Runners.multi_source ~instance
-                              ~env:(Gossip.Runners.Oblivious schedule) ~obs ()))
-                  | Rw -> None))
+  let run algorithm env sizes k_factor sigma seed csv trace json =
+    match env with
+    | None -> `Error (false, "the lower-bound adversary cannot be swept")
+    | Some _ ->
+        (* One spec per size, seeded [seed + n]: every node a potential
+           source except in the single-source shape. *)
+        let specs =
+          List.map
+            (fun n ->
+              spec_of_flags ~name:"sweep" ~algorithm ~env ~sigma ~n
+                ~k:(max 1 (k_factor * n))
+                ~s:(match algorithm with Scenario.Spec.Single_source -> 1 | _ -> n)
+                ~seed:(seed + n) ~faults:None)
+            sizes
         in
-        match run_one () with
-        | None -> ok := false
-        | Some result ->
-            let ledger = result.Engine.Run_result.ledger in
-            let k_used =
-              match protocol with Flooding -> n | Single | Multi | Rw -> k
-            in
-            let name =
-              Printf.sprintf "%s/%s/n=%d" (protocol_name protocol)
-                (env_name env) n
-            in
-            reports :=
-              Engine.Run_result.to_report ~name
-                ~extra:
-                  [
-                    ("n", Obs.Json.Int n); ("k", Obs.Json.Int k_used);
-                    ( "amortized_per_token",
-                      Obs.Json.Float (Engine.Ledger.amortized ledger ~k:k_used)
-                    );
-                  ]
-                result
-              :: !reports;
-            rows :=
-              [
-                string_of_int n;
-                string_of_int k_used;
-                (if result.Engine.Run_result.completed then "yes" else "NO");
-                string_of_int result.Engine.Run_result.rounds;
-                Analysis.Table.fint (Engine.Ledger.total ledger);
-                Analysis.Table.fint (Engine.Ledger.tc ledger);
-                Analysis.Table.ffloat (Engine.Ledger.amortized ledger ~k:k_used);
-                Analysis.Table.ffloat
-                  (Engine.Ledger.amortized_competitive ledger ~alpha:1.
-                     ~k:k_used);
-              ]
-              :: !rows)
-      sizes;
-    if not !ok then
-      `Error (false, "this protocol/environment combination cannot be swept")
-    else if json then begin
-      Obs.Console.out
-        (Obs.Json.to_string
-           (Obs.Json.List
-              (List.rev_map Obs.Report.to_json !reports)));
-      `Ok ()
-    end
-    else begin
-      print_table ~csv
-        (Analysis.Table.make ~title:"size sweep"
-           ~columns:
-             [ "n"; "k"; "done"; "rounds"; "messages"; "TC"; "amortized";
-               "amortized (comp.)" ]
-           (List.rev !rows));
-      `Ok ()
-    end
+        check_specs specs;
+        with_trace trace @@ fun obs ->
+        let runs =
+          List.map
+            (fun (spec : Scenario.Spec.t) ->
+              ( spec,
+                Scenario.Runner.run_repeat ~obs (prepare spec) ~seed:spec.seed ))
+            specs
+        in
+        if json then
+          Obs.Console.out
+            (Obs.Json.to_string
+               (Obs.Json.List
+                  (List.map (fun (_, r) -> Obs.Report.to_json r) runs)))
+        else
+          print_table ~csv
+            (Analysis.Table.make ~title:"size sweep"
+               ~columns:
+                 [ "n"; "k"; "done"; "rounds"; "messages"; "TC"; "amortized";
+                   "amortized (comp.)" ]
+               (List.map
+                  (fun ((spec : Scenario.Spec.t), (r : Obs.Report.t)) ->
+                    let k = float_of_int spec.k in
+                    [
+                      Option.fold ~none:"" ~some:string_of_int spec.n;
+                      string_of_int spec.k;
+                      (if r.completed then "yes" else "NO");
+                      string_of_int r.rounds;
+                      Analysis.Table.fint r.messages;
+                      Analysis.Table.fint r.tc;
+                      Analysis.Table.ffloat (float_of_int r.messages /. k);
+                      Analysis.Table.ffloat (r.competitive_cost /. k);
+                    ])
+                  runs));
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "sweep" ~doc)
     Term.(
       ret
-        (const run $ protocol_arg $ env_arg $ sizes_arg $ k_factor_arg
+        (const run $ algorithm_arg $ env_arg $ sizes_arg $ k_factor_arg
         $ sigma_arg $ seed_arg $ csv_arg $ trace_arg $ json_arg))
 
 (* {2 scenario} *)
 
-(* Scenario validation failures are invocation problems, same bucket
-   as bad flags: every message to stderr, exit 2. *)
-let spec_errors path errs =
-  Obs.Console.error (Printf.sprintf "error: %s is not a valid scenario spec:" path);
-  Obs.Console.lines (List.map (fun e -> "  - " ^ e) errs);
-  exit 2
-
 let load_spec path =
   match Scenario.Spec.load path with
   | Ok spec -> spec
-  | Error errs -> spec_errors path errs
+  | Error errs -> spec_errors (path ^ " is not a valid scenario spec:") errs
 
 let output_arg =
   Arg.(
@@ -1002,8 +827,10 @@ let scenario_record_cmd =
             | Scenario.Spec.Single_source | Scenario.Spec.Multi_source ->
                 Gossip.Runners.default_unicast_cap ~n ~k:spec.Scenario.Spec.k
             | Scenario.Spec.Oblivious_rw ->
-                (* phase-1 + phase-2 default caps of Algorithm 2 *)
-                (50 * n) + 1000 + (4 * n * spec.Scenario.Spec.k) + (4 * n * n))
+                let phase1, phase2 =
+                  Gossip.Runners.default_rw_caps ~n ~k:spec.Scenario.Spec.k
+                in
+                phase1 + phase2)
     in
     match
       Scenario.Runner.builtin_schedule ~env:spec.Scenario.Spec.env
@@ -1260,7 +1087,7 @@ let fuzz_cmd =
     Check.set_enabled check;
     exit_on_signals ();
     if runs < 1 then bad_flag "--runs %d must be >= 1" runs;
-    validate_seed ~flag:"seed" seed;
+    if seed < 0 then bad_flag "--seed %d is negative" seed;
     if shrink_budget < 1 then
       bad_flag "--shrink-budget %d must be >= 1" shrink_budget;
     if jobs < 1 then bad_flag "--jobs %d must be >= 1" jobs;
@@ -1679,8 +1506,8 @@ let main_cmd =
   let info = Cmd.info "dynspread" ~version:"1.0.0" ~doc in
   Cmd.group info
     [
-      run_cmd; experiments_cmd; table1_cmd; lowerbound_cmd; competitive_cmd;
-      sweep_cmd; scenario_cmd; fuzz_cmd; serve_cmd; submit_cmd;
+      run_cmd; experiments_cmd; sweep_cmd; scenario_cmd; fuzz_cmd; serve_cmd;
+      submit_cmd;
     ]
 
 (* The engine's violation exceptions mean a protocol or adversary

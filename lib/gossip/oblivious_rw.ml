@@ -12,15 +12,11 @@ type result = {
 }
 
 let run ~instance ~schedule ~seed ?(const_f = 1.0) ?(const_gamma = 1.0)
-    ?(force_rw = false) ?phase1_cap ?phase2_cap ?(obs = Obs.Sink.null)
+    ?(force_rw = false) ~phase1_cap ~phase2_cap ?(obs = Obs.Sink.null)
     ?(prof = Obs.Span.null) () =
   let n = Instance.n instance in
   let k = Instance.k instance in
   let s = Instance.source_count instance in
-  let phase1_cap = Option.value phase1_cap ~default:((50 * n) + 1000) in
-  let phase2_cap =
-    Option.value phase2_cap ~default:((4 * n * k) + (4 * n * n))
-  in
   let emit_phase name round =
     if not (Obs.Sink.is_null obs) then
       Obs.Sink.emit obs (Obs.Trace.Phase { name; round })

@@ -49,16 +49,17 @@ val run :
   ?const_f:float ->
   ?const_gamma:float ->
   ?force_rw:bool ->
-  ?phase1_cap:int ->
-  ?phase2_cap:int ->
+  phase1_cap:int ->
+  phase2_cap:int ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Span.t ->
   unit ->
   result
 (** [const_f] and [const_gamma] (default 1.0) scale [f] and [γ];
     [force_rw] (default false) runs both phases even under the source
-    threshold; caps default to [50·n + 1000] (phase 1) and
-    [4·n·k + 4·n²] (phase 2).
+    threshold; [phase1_cap] and [phase2_cap] bound each phase's rounds
+    ({!Runners.oblivious_rw} defaults them to
+    {!Runners.default_rw_caps}).
 
     [obs] (default {!Obs.Sink.null}) is forwarded to both engine runs
     and additionally receives an [Obs.Trace.Phase] marker before each

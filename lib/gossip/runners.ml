@@ -4,6 +4,7 @@ type unicast_env =
 
 let default_unicast_cap ~n ~k = (4 * n * k) + (4 * n * n) + 64
 let default_broadcast_cap ~n ~k = (n * k) + n + 64
+let default_rw_caps ~n ~k = ((50 * n) + 1000, (4 * n * k) + (4 * n * n))
 
 let unicast_adversary ~n = function
   | Oblivious schedule -> Adversary.Schedule.unicast schedule
@@ -227,4 +228,12 @@ let coded_broadcast ~instance ~schedule ~seed ?max_rounds ?faults ?obs ?prof
     ~stop:(Coded_bcast.all_decoded ~k)
     ()
 
-let oblivious_rw = Oblivious_rw.run
+let oblivious_rw ~instance ~schedule ~seed ?const_f ?const_gamma ?force_rw
+    ?phase1_cap ?phase2_cap ?obs ?prof () =
+  let cap1, cap2 =
+    default_rw_caps ~n:(Instance.n instance) ~k:(Instance.k instance)
+  in
+  Oblivious_rw.run ~instance ~schedule ~seed ?const_f ?const_gamma ?force_rw
+    ~phase1_cap:(Option.value phase1_cap ~default:cap1)
+    ~phase2_cap:(Option.value phase2_cap ~default:cap2)
+    ?obs ?prof ()

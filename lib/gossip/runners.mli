@@ -60,6 +60,11 @@ val default_unicast_cap : n:int -> k:int -> int
 val default_broadcast_cap : n:int -> k:int -> int
 (** [nk + n + 64]: above flooding's nk guarantee. *)
 
+val default_rw_caps : n:int -> k:int -> int * int
+(** Algorithm 2's default [(phase 1, phase 2)] round caps:
+    [(50n + 1000, 4nk + 4n²)] — the random-walk phase's settling
+    budget, then the multi-source phase's. *)
+
 val single_source :
   instance:Instance.t ->
   env:unicast_env ->
@@ -224,4 +229,5 @@ val oblivious_rw :
   ?prof:Obs.Span.t ->
   unit ->
   Oblivious_rw.result
-(** Algorithm 2 (re-exported from {!Oblivious_rw.run}). *)
+(** Algorithm 2 ({!Oblivious_rw.run}); the phase caps default to
+    {!default_rw_caps}. *)

@@ -9,7 +9,9 @@
     a run; the CLI's [--json] flag prints it. *)
 
 type t = {
-  name : string;  (** What ran, e.g. ["single-source/rewiring"]. *)
+  name : string;
+      (** What ran, e.g. ["run/single-source/seed=42"] (spec name,
+          algorithm, seed). *)
   completed : bool;
   rounds : int;
   messages : int;  (** Definition 1.1 total. *)

@@ -64,8 +64,8 @@ let fault_plan (faults : Spec.faults option) ~seed =
         ~seed:(Option.value f.fault_seed ~default:seed)
         ()
 
-(* Instance construction mirrors the [dynspread run] command: source 0
-   for the single-source shape, a seeded random assignment otherwise. *)
+(* Token placement: source 0 for the single-source shape, a seeded
+   random assignment otherwise. *)
 let instance (algorithm : Spec.algorithm) ~n ~k ~s ~seed =
   match algorithm with
   | Spec.Single_source -> Gossip.Instance.single_source ~n ~k ~source:0
@@ -76,134 +76,6 @@ let instance (algorithm : Spec.algorithm) ~n ~k ~s ~seed =
           ~rng:(Dynet.Rng.make ~seed:(seed + 1))
           ~n ~k
           ~s:(min s (min n k))
-
-let base_extra (spec : Spec.t) ~n ~seed =
-  [
-    ("n", Obs.Json.Int n);
-    ("k", Obs.Json.Int spec.k);
-    ("s", Obs.Json.Int spec.s);
-    ("seed", Obs.Json.Int seed);
-  ]
-
-let engine_report (spec : Spec.t) ~name ~n ~seed
-    (result : Engine.Run_result.t) =
-  Engine.Run_result.to_report ~name
-    ~extra:
-      (base_extra spec ~n ~seed
-      @ [
-          ( "amortized_per_token",
-            Obs.Json.Float (Engine.Ledger.amortized result.ledger ~k:spec.k)
-          );
-        ])
-    result
-
-(* Algorithm 2 returns its own result record; wrap its merged ledger so
-   the report path is uniform (same shape as the CLI's rw report). *)
-let rw_report (spec : Spec.t) ~name ~n ~seed (r : Gossip.Oblivious_rw.result)
-    =
-  let as_run_result =
-    Engine.Run_result.make
-      ~rounds:
-        (r.Gossip.Oblivious_rw.phase1_rounds
-        + r.Gossip.Oblivious_rw.phase2_rounds)
-      ~completed:r.Gossip.Oblivious_rw.completed
-      ~ledger:r.Gossip.Oblivious_rw.ledger ~timeline:[] ()
-  in
-  Engine.Run_result.to_report ~name
-    ~extra:
-      (base_extra spec ~n ~seed
-      @ [
-          ("centers", Obs.Json.Int r.Gossip.Oblivious_rw.centers);
-          ( "skipped_phase1",
-            Obs.Json.Bool r.Gossip.Oblivious_rw.skipped_phase1 );
-          ("phase1_rounds", Obs.Json.Int r.Gossip.Oblivious_rw.phase1_rounds);
-          ( "phase1_settled",
-            Obs.Json.Bool r.Gossip.Oblivious_rw.phase1_settled );
-          ("phase2_rounds", Obs.Json.Int r.Gossip.Oblivious_rw.phase2_rounds);
-          ( "paper_messages",
-            Obs.Json.Int r.Gossip.Oblivious_rw.paper_messages );
-          ( "amortized_per_token",
-            Obs.Json.Float
-              (float_of_int r.Gossip.Oblivious_rw.paper_messages
-              /. float_of_int spec.k) );
-        ])
-    as_run_result
-
-let run_point (spec : Spec.t) ?engine ?obs ?cancel ~trace ~n ~prof ~seed () =
-  let name =
-    spec.name ^ "/" ^ Spec.algorithm_name spec.algorithm ^ "/seed="
-    ^ string_of_int seed
-  in
-  let faults = fault_plan spec.faults ~seed in
-  let instance = instance spec.algorithm ~n ~k:spec.k ~s:spec.s ~seed in
-  (* Trace envs replay with [Loop]: the schedule is periodic, so the
-     engines' livelock detector has a sound window to watch. *)
-  let stall_after =
-    Option.map
-      (fun t -> stall_window ~period:(Trace_io.rounds t) ~n ~k:spec.k)
-      trace
-  in
-  let schedule () =
-    match trace with
-    | Some t -> Replay.schedule ~past_end:Replay.Loop t
-    | None -> (
-        match builtin_schedule ~env:spec.env ~sigma:spec.sigma ~n ~seed with
-        | Some s -> s
-        | None ->
-            (* Validation rejects flooding/rw × request-cutter, and the
-               unicast algorithms route the cutter below. *)
-            invalid_arg "Scenario.Runner: no committed schedule for this env")
-  in
-  let unicast_env () =
-    match spec.env with
-    | Spec.Request_cutter { cut_prob } ->
-        Gossip.Runners.Request_cutting { seed; cut_prob }
-    | _ -> Gossip.Runners.Oblivious (schedule ())
-  in
-  match spec.algorithm with
-  | Spec.Flooding ->
-      let result, _ =
-        Gossip.Runners.flooding ~instance ~schedule:(schedule ()) ?engine
-          ~faults ?obs ?cancel ~prof ?max_rounds:spec.max_rounds ?stall_after
-          ()
-      in
-      engine_report spec ~name ~n ~seed result
-  | Spec.Single_source ->
-      let result, _ =
-        Gossip.Runners.single_source ~instance ~env:(unicast_env ()) ?engine
-          ~faults ?obs ?cancel ~prof ?max_rounds:spec.max_rounds ?stall_after
-          ()
-      in
-      engine_report spec ~name ~n ~seed result
-  | Spec.Multi_source ->
-      let result, _ =
-        Gossip.Runners.multi_source ~instance ~env:(unicast_env ()) ?engine
-          ~faults ?obs ?cancel ~prof ?max_rounds:spec.max_rounds ?stall_after
-          ()
-      in
-      engine_report spec ~name ~n ~seed result
-  | Spec.Oblivious_rw ->
-      (* Algorithm 2 is not engine-parametric, so it has no round-
-         boundary cancel hook: a cancel observed before the repeat
-         starts yields a zero-round [Cancelled] report, one arriving
-         mid-run takes effect at the next repeat boundary. *)
-      let pre_cancelled =
-        match cancel with None -> false | Some c -> c ()
-      in
-      if pre_cancelled then
-        engine_report spec ~name ~n ~seed
-          (Engine.Run_result.make
-             ~outcome:
-               (Engine.Run_result.Cancelled { achieved = 0; target = None })
-             ~rounds:0 ~completed:false
-             ~ledger:(Engine.Ledger.create ())
-             ~timeline:[] ())
-      else
-        let r =
-          Gossip.Runners.oblivious_rw ~instance ~schedule:(schedule ()) ~seed
-            ~const_f:0.05 ~force_rw:true ?obs ~prof ()
-        in
-        rw_report spec ~name ~n ~seed r
 
 (* A spec with its environment materialized: the trace (if any) loaded
    and checked, [n] resolved, the per-repeat seeds laid out.  This is
@@ -233,9 +105,132 @@ let prepare ?base_dir (spec : Spec.t) =
           let seeds = Array.init spec.repeats (fun i -> spec.seed + i) in
           Ok { spec; trace; n; seeds })
 
-let run_repeat ?(prof = Obs.Span.null) ?engine ?obs ?cancel prepared ~seed =
-  run_point prepared.spec ?engine ?obs ?cancel ~trace:prepared.trace
-    ~n:prepared.n ~prof ~seed ()
+(* Trace envs replay with [Loop]: the schedule is periodic, so the
+   engines' livelock detector has a sound window to watch. *)
+let schedule p ~seed =
+  match p.trace with
+  | Some t -> Replay.schedule ~past_end:Replay.Loop t
+  | None -> (
+      match builtin_schedule ~env:p.spec.env ~sigma:p.spec.sigma ~n:p.n ~seed with
+      | Some s -> s
+      | None ->
+          (* Validation rejects flooding/rw × request-cutter, and the
+             unicast algorithms route the cutter through [unicast_env]. *)
+          invalid_arg "Scenario.Runner: no committed schedule for this env")
+
+let unicast_env p ~seed =
+  match p.spec.env with
+  | Spec.Request_cutter { cut_prob } ->
+      Gossip.Runners.Request_cutting { seed; cut_prob }
+  | _ -> Gossip.Runners.Oblivious (schedule p ~seed)
+
+let report_name (spec : Spec.t) ~seed =
+  spec.name ^ "/" ^ Spec.algorithm_name spec.algorithm ^ "/seed="
+  ^ string_of_int seed
+
+let base_extra (spec : Spec.t) ~n ~seed =
+  [
+    ("n", Obs.Json.Int n);
+    ("k", Obs.Json.Int spec.k);
+    ("s", Obs.Json.Int spec.s);
+    ("seed", Obs.Json.Int seed);
+  ]
+
+let report (spec : Spec.t) ~n ~seed (result : Engine.Run_result.t) =
+  Engine.Run_result.to_report ~name:(report_name spec ~seed)
+    ~extra:
+      (base_extra spec ~n ~seed
+      @ [
+          ( "amortized_per_token",
+            Obs.Json.Float (Engine.Ledger.amortized result.ledger ~k:spec.k)
+          );
+        ])
+    result
+
+(* Algorithm 2 returns its own result record; wrap its merged ledger so
+   the report path is uniform. *)
+let rw_report (spec : Spec.t) ~n ~seed (r : Gossip.Oblivious_rw.result) =
+  let as_run_result =
+    Engine.Run_result.make
+      ~rounds:
+        (r.Gossip.Oblivious_rw.phase1_rounds
+        + r.Gossip.Oblivious_rw.phase2_rounds)
+      ~completed:r.Gossip.Oblivious_rw.completed
+      ~ledger:r.Gossip.Oblivious_rw.ledger ~timeline:[] ()
+  in
+  Engine.Run_result.to_report ~name:(report_name spec ~seed)
+    ~extra:
+      (base_extra spec ~n ~seed
+      @ [
+          ("centers", Obs.Json.Int r.Gossip.Oblivious_rw.centers);
+          ( "skipped_phase1",
+            Obs.Json.Bool r.Gossip.Oblivious_rw.skipped_phase1 );
+          ("phase1_rounds", Obs.Json.Int r.Gossip.Oblivious_rw.phase1_rounds);
+          ( "phase1_settled",
+            Obs.Json.Bool r.Gossip.Oblivious_rw.phase1_settled );
+          ("phase2_rounds", Obs.Json.Int r.Gossip.Oblivious_rw.phase2_rounds);
+          ( "paper_messages",
+            Obs.Json.Int r.Gossip.Oblivious_rw.paper_messages );
+          ( "amortized_per_token",
+            Obs.Json.Float
+              (float_of_int r.Gossip.Oblivious_rw.paper_messages
+              /. float_of_int spec.k) );
+        ])
+    as_run_result
+
+let run_repeat ?(prof = Obs.Span.null) ?engine ?obs ?cancel p ~seed =
+  let spec = p.spec and n = p.n in
+  let faults = fault_plan spec.faults ~seed in
+  let instance = instance spec.algorithm ~n ~k:spec.k ~s:spec.s ~seed in
+  let stall_after =
+    Option.map
+      (fun t -> stall_window ~period:(Trace_io.rounds t) ~n ~k:spec.k)
+      p.trace
+  in
+  match spec.algorithm with
+  | Spec.Flooding ->
+      let result, _ =
+        Gossip.Runners.flooding ~instance ~schedule:(schedule p ~seed) ?engine
+          ~faults ?obs ?cancel ~prof ?max_rounds:spec.max_rounds ?stall_after
+          ()
+      in
+      report spec ~n ~seed result
+  | Spec.Single_source ->
+      let result, _ =
+        Gossip.Runners.single_source ~instance ~env:(unicast_env p ~seed)
+          ?engine ~faults ?obs ?cancel ~prof ?max_rounds:spec.max_rounds
+          ?stall_after ()
+      in
+      report spec ~n ~seed result
+  | Spec.Multi_source ->
+      let result, _ =
+        Gossip.Runners.multi_source ~instance ~env:(unicast_env p ~seed)
+          ?engine ~faults ?obs ?cancel ~prof ?max_rounds:spec.max_rounds
+          ?stall_after ()
+      in
+      report spec ~n ~seed result
+  | Spec.Oblivious_rw ->
+      (* Algorithm 2 is not engine-parametric, so it has no round-
+         boundary cancel hook: a cancel observed before the repeat
+         starts yields a zero-round [Cancelled] report, one arriving
+         mid-run takes effect at the next repeat boundary. *)
+      let pre_cancelled =
+        match cancel with None -> false | Some c -> c ()
+      in
+      if pre_cancelled then
+        report spec ~n ~seed
+          (Engine.Run_result.make
+             ~outcome:
+               (Engine.Run_result.Cancelled { achieved = 0; target = None })
+             ~rounds:0 ~completed:false
+             ~ledger:(Engine.Ledger.create ())
+             ~timeline:[] ())
+      else
+        let r =
+          Gossip.Runners.oblivious_rw ~instance ~schedule:(schedule p ~seed)
+            ~seed ~const_f:0.05 ~force_rw:true ?obs ~prof ()
+        in
+        rw_report spec ~n ~seed r
 
 let run_prepared ?jobs ?prof ?engine ?cancel prepared =
   Analysis.Sweep.map_span ?jobs ?prof

@@ -11,8 +11,10 @@
       {!Analysis.Sweep.map} ([?jobs]) with bit-identical output
       whatever the parallelism;
     - instance construction, fault-plan wiring, and per-algorithm
-      round caps mirror the [dynspread run] command exactly, so a
-      scenario file is a faithful replacement for a CLI invocation;
+      round caps are decided here alone: [dynspread run] and
+      [dynspread sweep] compile their flags into a spec and run it
+      through this module, so a scenario file and a CLI invocation are
+      the same run;
     - each report is named [<name>/<algorithm>/seed=<seed+i>] — the
       label depends only on the spec's name, algorithm, and seed,
       never on how the environment is represented, so a run against a
@@ -39,10 +41,9 @@ val stall_window : period:int -> n:int -> k:int -> int
 
 val instance :
   Spec.algorithm -> n:int -> k:int -> s:int -> seed:int -> Gossip.Instance.t
-(** Token placement for one run, as the [dynspread run] command builds
-    it: source 0 for [single-source] and for [s <= 1], otherwise a
-    random assignment of [min s (min n k)] sources seeded by
-    [seed + 1]. *)
+(** Token placement for one run: source 0 for [single-source] and for
+    [s <= 1], otherwise a random assignment of [min s (min n k)]
+    sources seeded by [seed + 1]. *)
 
 val fault_plan : Spec.faults option -> seed:int -> Faults.Plan.t
 (** The fault plan a spec's [faults] block describes
@@ -52,9 +53,8 @@ val fault_plan : Spec.faults option -> seed:int -> Faults.Plan.t
 val builtin_schedule :
   env:Spec.env -> sigma:int -> n:int -> seed:int ->
   Adversary.Schedule.t option
-(** The committed schedule for a built-in oblivious env, with the same
-    family parameters and defaults as the CLI ([extra] defaults to
-    [n], [p_up] to [2/n]; [sigma > 1] wraps the family in
+(** The committed schedule for a built-in oblivious env ([extra]
+    defaults to [n], [p_up] to [2/n]; [sigma > 1] wraps the family in
     {!Adversary.Schedule.stabilized}).  [None] for the two
     non-committed envs ([trace] — use {!Replay.schedule} — and the
     adaptive [request-cutter]). *)
@@ -82,6 +82,17 @@ val prepare : ?base_dir:string -> Spec.t -> (prepared, string) result
     is one; relative paths resolve against [base_dir], default ["."]),
     resolve [n], and lay out the per-repeat seeds.  [Error] covers
     exactly the materialization failures [run] reports. *)
+
+val report : Spec.t -> n:int -> seed:int -> Engine.Run_result.t -> Obs.Report.t
+(** The run report of one repeat: named [<name>/<algorithm>/seed=<seed>],
+    with the extras [n], [k], [s], [seed] and [amortized_per_token].
+    Exported so run shapes no spec can express (the CLI's [--reliable]
+    wrapper and lower-bound adversary) report like every other run. *)
+
+val unicast_env : prepared -> seed:int -> Gossip.Runners.unicast_env
+(** The unicast environment of one repeat: the adaptive request-cutter
+    for a [request-cutter] env, otherwise the committed schedule (a
+    looped trace replay or {!builtin_schedule}). *)
 
 val run_repeat :
   ?prof:Obs.Span.t ->

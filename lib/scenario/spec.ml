@@ -132,9 +132,7 @@ let env_of_json ctx j =
           ~default:"(missing)"
       in
       let prob name default =
-        let v = Option.value (get_float ctx ~where name None e) ~default in
-        check_prob ctx ~where name v;
-        v
+        Option.value (get_float ctx ~where name None e) ~default
       in
       let base = [ "family" ] in
       match family with
@@ -153,16 +151,12 @@ let env_of_json ctx j =
           Tree_rotator
       | "rewiring" ->
           check_unknown ctx ~where ~allowed:(base @ [ "extra"; "rate" ]) e;
-          let extra = get_int ctx ~where "extra" None e in
-          Option.iter
-            (fun x -> check_min ctx ~where "extra" x ~min_v:0)
-            extra;
-          Rewiring { extra; rate = prob "rate" 0.25 }
+          Rewiring
+            { extra = get_int ctx ~where "extra" None e; rate = prob "rate" 0.25 }
       | "edge-markovian" ->
           check_unknown ctx ~where ~allowed:(base @ [ "p_up"; "p_down" ]) e;
-          let p_up = get_float ctx ~where "p_up" None e in
-          Option.iter (check_prob ctx ~where "p_up") p_up;
-          Edge_markovian { p_up; p_down = prob "p_down" 0.3 }
+          Edge_markovian
+            { p_up = get_float ctx ~where "p_up" None e; p_down = prob "p_down" 0.3 }
       | "fresh-random" ->
           check_unknown ctx ~where ~allowed:(base @ [ "p" ]) e;
           Fresh_random { p = prob "p" 0.25 }
@@ -186,22 +180,17 @@ let faults_of_json ctx j =
         ~allowed:[ "loss"; "dup"; "crash"; "restart"; "max_delay"; "seed" ]
         f;
       let prob name default =
-        let v = Option.value (get_float ctx ~where name None f) ~default in
-        check_prob ctx ~where name v;
-        v
+        Option.value (get_float ctx ~where name None f) ~default
       in
-      let max_delay = Option.value (get_int ctx ~where "max_delay" None f) ~default:0 in
-      check_min ctx ~where "max_delay" max_delay ~min_v:0;
-      let fault_seed = get_int ctx ~where "seed" None f in
-      Option.iter (fun s -> check_min ctx ~where "seed" s ~min_v:0) fault_seed;
       Some
         {
           loss = prob "loss" 0.;
           dup = prob "dup" 0.;
           crash = prob "crash" 0.;
           restart = prob "restart" 0.25;
-          max_delay;
-          fault_seed;
+          max_delay =
+            Option.value (get_int ctx ~where "max_delay" None f) ~default:0;
+          fault_seed = get_int ctx ~where "seed" None f;
         }
   | Some _ ->
       err ctx "field \"faults\" must be an object";
@@ -211,6 +200,83 @@ let faults_active = function
   | None -> false
   | Some f ->
       f.loss > 0. || f.dup > 0. || f.crash > 0. || f.max_delay > 0
+
+(* {2 Validation}
+
+   Range checks and cross-field rules on a typed spec — shared by
+   [of_json] and by callers that build a spec in code (the CLI's [run]
+   and [sweep]), so both reject the same values with the same
+   messages. *)
+
+let check_ranges ctx t =
+  let where = "spec" in
+  if String.equal t.name "" then
+    err ctx "missing or empty field \"name\" (labels the run reports)";
+  (let where = "env" in
+   match t.env with
+   | Trace { path } ->
+       if String.equal path "" then
+         err ctx "env: family \"trace\" needs a non-empty \"path\""
+   | Static { p } | Fresh_random { p } -> check_prob ctx ~where "p" p
+   | Tree_rotator -> ()
+   | Rewiring { extra; rate } ->
+       Option.iter (fun x -> check_min ctx ~where "extra" x ~min_v:0) extra;
+       check_prob ctx ~where "rate" rate
+   | Edge_markovian { p_up; p_down } ->
+       Option.iter (check_prob ctx ~where "p_up") p_up;
+       check_prob ctx ~where "p_down" p_down
+   | Request_cutter { cut_prob } -> check_prob ctx ~where "cut_prob" cut_prob);
+  check_min ctx ~where "sigma" t.sigma ~min_v:1;
+  Option.iter (fun v -> check_min ctx ~where "n" v ~min_v:2) t.n;
+  check_min ctx ~where "k" t.k ~min_v:1;
+  check_min ctx ~where "s" t.s ~min_v:1;
+  check_min ctx ~where "seed" t.seed ~min_v:0;
+  check_min ctx ~where "repeats" t.repeats ~min_v:1;
+  Option.iter
+    (fun f ->
+      let where = "faults" in
+      check_prob ctx ~where "loss" f.loss;
+      check_prob ctx ~where "dup" f.dup;
+      check_prob ctx ~where "crash" f.crash;
+      check_prob ctx ~where "restart" f.restart;
+      check_min ctx ~where "max_delay" f.max_delay ~min_v:0;
+      Option.iter (fun s -> check_min ctx ~where "seed" s ~min_v:0) f.fault_seed)
+    t.faults;
+  Option.iter (fun v -> check_min ctx ~where "max_rounds" v ~min_v:1) t.max_rounds
+
+let check_combinations ctx t =
+  (match (t.env, t.n) with
+  | Trace _, _ -> ()
+  | _, Some _ -> ()
+  | _, None ->
+      err ctx
+        "missing field \"n\": required unless env is a trace (traces carry \
+         their node count)");
+  (match (t.algorithm, t.env) with
+  | (Flooding | Oblivious_rw), Request_cutter _ ->
+      err ctx
+        "algorithm %S cannot face the request-cutter (an adaptive unicast \
+         adversary): use single-source or multi-source"
+        (algorithm_name t.algorithm)
+  | _, _ -> ());
+  (match t.env with
+  | Request_cutter _ when t.sigma > 1 ->
+      err ctx
+        "sigma only applies to committed schedules; the request-cutter is \
+         adaptive"
+  | _ -> ());
+  match t.algorithm with
+  | Oblivious_rw when faults_active t.faults ->
+      err ctx
+        "oblivious-rw does not take a fault plan yet; drop the \"faults\" \
+         fields"
+  | _ -> ()
+
+let validate t =
+  let ctx = { errors = [] } in
+  check_ranges ctx t;
+  check_combinations ctx t;
+  match ctx.errors with [] -> Ok t | errors -> Error (List.rev errors)
 
 (* {2 Top level} *)
 
@@ -251,10 +317,11 @@ let of_json j =
         Flooding
   in
   let env = env_of_json ctx j in
-  let sigma = Option.value (get_int ctx ~where "sigma" None j) ~default:1 in
-  check_min ctx ~where "sigma" sigma ~min_v:1;
+  let int_or name default =
+    Option.value (get_int ctx ~where name None j) ~default
+  in
+  let sigma = int_or "sigma" 1 in
   let n = get_int ctx ~where "n" None j in
-  Option.iter (fun v -> check_min ctx ~where "n" v ~min_v:2) n;
   let k =
     match get_int ctx ~where "k" None j with
     | Some k -> k
@@ -262,50 +329,19 @@ let of_json j =
         err ctx "missing field \"k\" (token count, >= 1)";
         1
   in
-  check_min ctx ~where "k" k ~min_v:1;
-  let s = Option.value (get_int ctx ~where "s" None j) ~default:1 in
-  check_min ctx ~where "s" s ~min_v:1;
-  let seed = Option.value (get_int ctx ~where "seed" None j) ~default:42 in
-  check_min ctx ~where "seed" seed ~min_v:0;
-  let repeats = Option.value (get_int ctx ~where "repeats" None j) ~default:1 in
-  check_min ctx ~where "repeats" repeats ~min_v:1;
+  let s = int_or "s" 1 in
+  let seed = int_or "seed" 42 in
+  let repeats = int_or "repeats" 1 in
   let faults = faults_of_json ctx j in
   let max_rounds = get_int ctx ~where "max_rounds" None j in
-  Option.iter (fun v -> check_min ctx ~where "max_rounds" v ~min_v:1) max_rounds;
-  (* Cross-field consistency. *)
-  (match (env, n) with
-  | Trace _, _ -> ()
-  | _, Some _ -> ()
-  | _, None ->
-      err ctx
-        "missing field \"n\": required unless env is a trace (traces carry \
-         their node count)");
-  (match (algorithm, env) with
-  | (Flooding | Oblivious_rw), Request_cutter _ ->
-      err ctx
-        "algorithm %S cannot face the request-cutter (an adaptive unicast \
-         adversary): use single-source or multi-source"
-        (algorithm_name algorithm)
-  | _, _ -> ());
-  (match env with
-  | Request_cutter _ when sigma > 1 ->
-      err ctx
-        "sigma only applies to committed schedules; the request-cutter is \
-         adaptive"
-  | _ -> ());
-  if
-    (match algorithm with Oblivious_rw -> true | _ -> false)
-    && faults_active faults
-  then
-    err ctx
-      "oblivious-rw does not take a fault plan yet; drop the \"faults\" \
-       fields";
-  match ctx.errors with
-  | [] ->
-      Ok
-        { name; algorithm; env; sigma; n; k; s; seed; repeats; faults;
-          max_rounds }
-  | errors -> Error (List.rev errors)
+  let t =
+    { name; algorithm; env; sigma; n; k; s; seed; repeats; faults; max_rounds }
+  in
+  (* Shape problems first, then what [validate] finds in the values. *)
+  match (List.rev ctx.errors, validate t) with
+  | [], result -> result
+  | shape, Ok _ -> Error shape
+  | shape, Error values -> Error (shape @ values)
 
 let of_string content =
   match Obs.Json.of_string content with

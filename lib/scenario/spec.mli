@@ -74,12 +74,23 @@ type t = {
 val schema_name : string
 (** ["dynspread-scenario/v1"]. *)
 
+val algorithms : (string * algorithm) list
+(** Every algorithm with its [algorithm]-field name, in schema order. *)
+
 val algorithm_name : algorithm -> string
 val env_family : env -> string
 
+val validate : t -> (t, string list) result
+(** The range checks and cross-field rules on a typed spec, with the
+    messages {!of_json} reports for the same values — the one validator
+    for spec files and for specs built in code (the CLI's [run] and
+    [sweep] compile their flags into one).  [Error] carries every
+    problem found. *)
+
 val of_json : Obs.Json.t -> (t, string list) result
-(** Validate one parsed document; [Error] carries {e every} problem
-    found, each message naming its field. *)
+(** Parse and {!validate} one document; [Error] carries {e every}
+    problem found (shape problems — unknown fields, wrong types,
+    missing fields — first), each message naming its field. *)
 
 val of_string : string -> (t, string list) result
 

@@ -22,4 +22,5 @@ let () =
       ("serve", Test_serve.suite);
       ("lint", Test_lint.suite);
       ("check", Test_check.suite);
+      ("cli", Test_cli.suite);
     ]

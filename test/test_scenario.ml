@@ -453,6 +453,87 @@ let test_spec_combo_rules () =
         "env": { "family": "request-cutter" }, "n": 8, "k": 4 }|}
     "sigma"
 
+(* [Spec.validate] is the validator of_json runs on the values it
+   parsed: a spec built in code with a bad value is rejected with
+   exactly the messages the equivalent document gets. *)
+let test_spec_validate_matches_of_json () =
+  (* Obs.Json.member takes the first occurrence of a key, so the
+     overridable fields are parameters. *)
+  let doc ?(algorithm = "multi-source") ?(env = "tree-rotator") ?env_json
+      ?(n = 8) ?(k = 4) extra =
+    Printf.sprintf
+      {|{ "schema": "dynspread-scenario/v1", "name": "v",
+          "algorithm": %S, "env": %s, "n": %d, "k": %d%s }|}
+      algorithm
+      (Option.value env_json ~default:(Printf.sprintf {|{ "family": %S }|} env))
+      n k extra
+  in
+  let base = spec_of_json_exn (doc "") in
+  (match Scenario.Spec.validate base with
+  | Ok _ -> ()
+  | Error errs ->
+      Alcotest.failf "valid spec rejected: %s" (String.concat "; " errs));
+  let faults =
+    { Scenario.Spec.loss = 0.; dup = 0.; crash = 0.; restart = 0.25;
+      max_delay = 0; fault_seed = None }
+  in
+  let cutter = Scenario.Spec.Request_cutter { cut_prob = 0.7 } in
+  let cases =
+    [
+      (doc ~k:0 "", { base with k = 0 });
+      (doc ~n:1 "", { base with n = Some 1 });
+      (doc {|, "sigma": 0|}, { base with sigma = 0 });
+      (doc {|, "s": 0|}, { base with s = 0 });
+      (doc {|, "seed": -1|}, { base with seed = -1 });
+      (doc {|, "repeats": 0|}, { base with repeats = 0 });
+      (doc {|, "max_rounds": 0|}, { base with max_rounds = Some 0 });
+      ( doc ~env_json:{|{ "family": "static", "p": 7 }|} "",
+        { base with env = Scenario.Spec.Static { p = 7. } } );
+      ( doc ~env_json:{|{ "family": "rewiring", "extra": -1 }|} "",
+        { base with
+          env = Scenario.Spec.Rewiring { extra = Some (-1); rate = 0.25 } } );
+      ( doc ~env_json:{|{ "family": "edge-markovian", "p_up": 2 }|} "",
+        { base with
+          env = Scenario.Spec.Edge_markovian { p_up = Some 2.; p_down = 0.3 }
+        } );
+      ( doc ~env_json:{|{ "family": "request-cutter", "cut_prob": -0.5 }|} "",
+        { base with env = Scenario.Spec.Request_cutter { cut_prob = -0.5 } }
+      );
+      ( doc {|, "faults": { "loss": 2, "max_delay": -1, "seed": -3 }|},
+        { base with
+          faults =
+            Some
+              { faults with loss = 2.; max_delay = -1; fault_seed = Some (-3) };
+        } );
+      ( doc ~algorithm:"flooding" ~env:"request-cutter" "",
+        { base with algorithm = Scenario.Spec.Flooding; env = cutter } );
+      ( doc ~env:"request-cutter" {|, "sigma": 3|},
+        { base with sigma = 3; env = cutter } );
+      ( doc ~algorithm:"oblivious-rw" {|, "faults": { "crash": 0.1 }|},
+        { base with
+          algorithm = Scenario.Spec.Oblivious_rw;
+          faults = Some { faults with crash = 0.1 };
+        } );
+    ]
+  in
+  List.iter
+    (fun (json, spec) ->
+      match (Scenario.Spec.of_string json, Scenario.Spec.validate spec) with
+      | Error from_json, Error from_validate ->
+          check
+            Alcotest.(list string)
+            (Printf.sprintf "same messages for %s" json)
+            from_json from_validate
+      | Ok _, _ -> Alcotest.failf "of_json accepted %s" json
+      | _, Ok _ -> Alcotest.failf "validate accepted the spec of %s" json)
+    cases;
+  (* n is only optional for trace envs. *)
+  match Scenario.Spec.validate { base with n = None } with
+  | Ok _ -> Alcotest.fail "validate accepted a built-in env without n"
+  | Error errs ->
+      check Alcotest.bool "missing n named" true
+        (List.exists (Astring.String.is_infix ~affix:"\"n\"") errs)
+
 let test_spec_to_json_roundtrip () =
   let spec =
     spec_of_json_exn
@@ -520,6 +601,8 @@ let suite =
     Alcotest.test_case "spec: accumulates every error" `Quick
       test_spec_accumulates_errors;
     Alcotest.test_case "spec: combination rules" `Quick test_spec_combo_rules;
+    Alcotest.test_case "spec: validate = of_json's checks" `Quick
+      test_spec_validate_matches_of_json;
     Alcotest.test_case "spec: to_json round-trip" `Quick
       test_spec_to_json_roundtrip;
     Alcotest.test_case "E17 real-trace shape check" `Quick
