@@ -574,8 +574,9 @@ let timings_arg =
     value & flag
     & info [ "timings" ]
         ~doc:
-          "After the tables, print each experiment's wall-clock (from \
-           the observability layer's per-experiment spans).")
+          "After the tables, print each experiment's wall-clock, read \
+           from the $(b,Obs.Metrics) registry that each experiment's \
+           $(b,Obs.Timer.observe_span) records into.")
 
 let experiments_cmd =
   let doc =
@@ -1133,7 +1134,8 @@ let fuzz_cmd =
                "mismatch: case %d (%s, n=%d k=%d s=%d): %s — shrunk to n=%d \
                 %d round(s), saved as %s"
                m.Fuzz.Campaign.case.Fuzz.Case.id
-               (Fuzz.Case.algo_name m.Fuzz.Campaign.case.Fuzz.Case.algo)
+               (Scenario.Spec.algorithm_name
+                  m.Fuzz.Campaign.case.Fuzz.Case.algorithm)
                m.Fuzz.Campaign.case.Fuzz.Case.n
                m.Fuzz.Campaign.case.Fuzz.Case.k
                m.Fuzz.Campaign.case.Fuzz.Case.s m.Fuzz.Campaign.detail

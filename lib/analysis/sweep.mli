@@ -20,8 +20,8 @@
     Points must be self-contained: they must not mutate shared
     structures (in particular they must not write to a shared
     {!Obs.Metrics.t} — the registry is single-domain by design; see
-    {!map_timed} and {!Obs.Metrics.merge} for the sanctioned
-    patterns). *)
+    {!map_span}'s [?metrics] and {!Obs.Metrics.merge} for the
+    sanctioned patterns). *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the CLI's and bench
@@ -34,21 +34,18 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     spawned at all; otherwise [min jobs (Array.length points)] domains
     (the caller included) pull points off a shared cursor. *)
 
-val map_timed :
-  ?jobs:int -> ?metrics:Obs.Metrics.t -> name:string ->
-  ('a -> 'b) -> 'a array -> 'b array
-(** [map] plus per-point wall-clock: each point's elapsed seconds is
-    measured inside its worker ({!Obs.Timer.time}) but recorded into
-    [metrics] under histogram [name] only after the domains have
-    joined, in input order — the registry is touched by the calling
-    domain alone, and the sample order is schedule-independent. *)
-
 val map_span :
   ?jobs:int -> ?metrics:Obs.Metrics.t -> ?prof:Obs.Span.t -> name:string ->
   (prof:Obs.Span.t -> 'a -> 'b) -> 'a array -> 'b array
-(** [map_timed] plus hierarchical profiling: the whole sweep runs
-    inside a [sweep:<name>] span on [prof], each point runs inside a
-    [point]-category span named [name], and each point receives the
+(** [map] plus per-point wall-clock and hierarchical profiling ([map]
+    is this with neither).  Each point's elapsed seconds is measured
+    inside its worker ({!Obs.Timer.time}) but recorded into [metrics]
+    under histogram [name] only after the domains have joined, in
+    input order — the registry is touched by the calling domain alone,
+    and the sample order is schedule-independent.  The whole sweep
+    runs inside a [sweep:<name>] span on [prof], each point runs
+    inside a [point]-category span named [name], and each point
+    receives the
     profiler lane of the domain executing it as [~prof] (so engine
     round/phase spans recorded inside the point land in the right
     lane).  Helper domains get fresh {!Obs.Span.worker} lanes
@@ -56,7 +53,6 @@ val map_span :
     calling domain records into [prof] itself.  The sweep span carries
     per-worker busy-seconds counters ([busy_s_w0], …) and an
     [imbalance] counter ([(max - min) / max] of worker busy times).
-    With the default null profiler this is exactly [map_timed].
     Results, error propagation, and metrics recording keep the [map]
     contract: input order, lowest-index failure, registry touched only
     by the calling domain after the join. *)

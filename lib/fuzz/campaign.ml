@@ -9,8 +9,8 @@ type mismatch = {
 
 type outcome = { runs : int; mismatches : mismatch list }
 
-let run ?engine_a ?engine_b ?flooding_b ?jobs ?metrics ?prof ?shrink_budget
-    ~runs ~seed () =
+let run ?engine_a ?engine_b ?jobs ?metrics ?prof ?shrink_budget ~runs ~seed
+    () =
   let results =
     Analysis.Sweep.map_span ?jobs ?prof ~name:"fuzz"
       (fun ~prof id ->
@@ -25,16 +25,14 @@ let run ?engine_a ?engine_b ?flooding_b ?jobs ?metrics ?prof ?shrink_budget
           | None, Some b -> (Engine.Reference.engine, b)
           | None, None -> Gen.engine_pair ~seed ~id
         in
-        match Diff.check ?flooding_b ~prof ~engine_a ~engine_b case with
+        match Diff.check ~prof ~engine_a ~engine_b case with
         | None -> None
         | Some detail ->
             (* Shrink inside the worker: the predicate re-executes the
                candidate through both engines (unprofiled — hundreds
                of small runs), so minimization of case i overlaps the
                scanning of later cases. *)
-            let fails c =
-              Option.is_some (Diff.check ?flooding_b ~engine_a ~engine_b c)
-            in
+            let fails c = Option.is_some (Diff.check ~engine_a ~engine_b c) in
             let shrunk, shrink_stats =
               Shrink.minimize ?budget:shrink_budget ~fails case
             in

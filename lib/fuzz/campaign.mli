@@ -36,7 +36,6 @@ type outcome = { runs : int; mismatches : mismatch list }
 val run :
   ?engine_a:(module Engine.Engine_sig.ENGINE) ->
   ?engine_b:(module Engine.Engine_sig.ENGINE) ->
-  ?flooding_b:(module Diff.FLOODING) ->
   ?jobs:int ->
   ?metrics:Obs.Metrics.t ->
   ?prof:Obs.Span.t ->
@@ -45,12 +44,11 @@ val run :
   seed:int ->
   unit ->
   outcome
-(** [?flooding_b] substitutes the flooding implementation on the [b]
-    side (the mutation smoke test); [?shrink_budget] caps predicate
-    evaluations per mismatch (default: {!Shrink.minimize}'s).
-    Pinning exactly one engine pins the pairing: the other side
-    defaults to {!Engine.Default} (for [?engine_a]) or
-    {!Engine.Reference} (for [?engine_b]). *)
+(** [?shrink_budget] caps predicate evaluations per mismatch (default:
+    {!Shrink.minimize}'s).  Pinning exactly one engine pins the
+    pairing: the other side defaults to {!Engine.Default} (for
+    [?engine_a]) or {!Engine.Reference} (for [?engine_b]) — a
+    seeded-bug engine ({!Mutant.engine}) goes in as [?engine_b]. *)
 
 val save_corpus : dir:string -> outcome -> string list
 (** Write every mismatch's shrunk pair under [dir] (created if

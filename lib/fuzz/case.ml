@@ -1,10 +1,8 @@
 open! Dynet.Ops
 
-type algo = Flooding | Single_source | Multi_source
-
 type t = {
   id : int;
-  algo : algo;
+  algorithm : Scenario.Spec.algorithm;
   n : int;
   k : int;
   s : int;
@@ -14,34 +12,15 @@ type t = {
   rounds : Dynet.Graph.t list;
 }
 
-let algo_name = function
-  | Flooding -> "flooding"
-  | Single_source -> "single-source"
-  | Multi_source -> "multi-source"
-
 let period t = List.length t.rounds
-
-(* The label names engine-independent inputs only, so the two engines'
-   reports can be compared byte for byte. *)
-let label t =
-  Printf.sprintf "fuzz/%s/n=%d/k=%d/s=%d/seed=%d" (algo_name t.algo) t.n t.k
-    t.s t.seed
 
 let to_trace t =
   Scenario.Trace_io.of_graphs ~seed:t.seed ~provenance:"fuzz" ~n:t.n t.rounds
 
-let stall_after t =
-  Scenario.Runner.stall_window ~period:(period t) ~n:t.n ~k:t.k
-
-let spec_algorithm = function
-  | Flooding -> Scenario.Spec.Flooding
-  | Single_source -> Scenario.Spec.Single_source
-  | Multi_source -> Scenario.Spec.Multi_source
-
 let to_spec t ~trace_path : Scenario.Spec.t =
   {
     name = Printf.sprintf "fuzz-%d" t.seed;
-    algorithm = spec_algorithm t.algo;
+    algorithm = t.algorithm;
     env = Scenario.Spec.Trace { path = trace_path };
     sigma = 1;
     n = Some t.n;
@@ -54,20 +33,16 @@ let to_spec t ~trace_path : Scenario.Spec.t =
   }
 
 let of_spec (spec : Scenario.Spec.t) ~trace =
-  let algo =
-    match spec.algorithm with
-    | Scenario.Spec.Flooding -> Ok Flooding
-    | Scenario.Spec.Single_source -> Ok Single_source
-    | Scenario.Spec.Multi_source -> Ok Multi_source
-    | Scenario.Spec.Oblivious_rw ->
-        Error "oblivious-rw is not a differential-fuzz algorithm"
-  in
-  match algo with
-  | Error e -> Error e
-  | Ok algo ->
+  match spec.algorithm with
+  | Scenario.Spec.Oblivious_rw ->
+      Error "oblivious-rw is not a differential-fuzz algorithm"
+  | Scenario.Spec.Flooding | Scenario.Spec.Single_source
+  | Scenario.Spec.Multi_source ->
       let n = trace.Scenario.Trace_io.header.n in
-      if Scenario.Trace_io.rounds trace < 1 then
-        Error "trace has no rounds"
+      if Scenario.Trace_io.rounds trace < 1 then Error "trace has no rounds"
+      else if spec.sigma <> 1 then
+        (* A case replays its round graphs as they are. *)
+        Error "sigma > 1 stabilizes the trace; a fuzz case has sigma 1"
       else
         let rounds =
           List.rev
@@ -77,7 +52,7 @@ let of_spec (spec : Scenario.Spec.t) ~trace =
         Ok
           {
             id = 0;
-            algo;
+            algorithm = spec.algorithm;
             n;
             k = spec.k;
             s = spec.s;

@@ -12,26 +12,6 @@
     Any other exception propagates — it is a harness bug, not a
     divergence. *)
 
-(** What the harness needs from a flooding implementation.  The
-    unicast protocols run through the engine-parametric
-    {!Gossip.Runners}; flooding is abstracted one step further so
-    {!Mutant}'s deliberately broken copies can stand in for the real
-    protocol on one side of the comparison. *)
-module type FLOODING = sig
-  type state
-
-  val protocol :
-    (module Engine.Runner_broadcast.PROTOCOL
-       with type state = state
-        and type msg = Gossip.Payload.t)
-
-  val init : instance:Gossip.Instance.t -> state array
-  val all_complete : k:int -> state array -> bool
-end
-
-val real_flooding : (module FLOODING)
-(** {!Gossip.Flooding} behind the seam (default [phase_len]). *)
-
 type exec = {
   engine : string;  (** The engine's [name]. *)
   report : string;  (** Run-report JSON; [""] when [error] is set. *)
@@ -44,15 +24,16 @@ type exec = {
 
 val execute :
   engine:(module Engine.Engine_sig.ENGINE) ->
-  ?flooding:(module FLOODING) ->
   ?prof:Obs.Span.t ->
   Case.t ->
   exec
-(** One run.  Wiring mirrors {!Scenario.Runner} (instance, fault plan,
-    {!Scenario.Replay.Loop} schedule, stall window, [n*k] progress
-    target); flooding cases call the engine directly through
-    [?flooding] (default {!real_flooding}) so a mutant shares every
-    line of wiring with the real protocol. *)
+(** One run: {!Scenario.Runner.run_repeat} on the case's spec
+    ({!Case.to_spec}, one repeat at the case seed) with its in-memory
+    trace ({!Case.to_trace}) and a {!Scenario.Record} on the
+    [?on_graph] hook.  Instance, fault plan, looped schedule, stall
+    window and round cap are all the runner's, so the report is byte
+    for byte what [dynspread scenario run] prints for the saved case
+    under the same engine. *)
 
 val divergence : exec -> exec -> string option
 (** [None] iff the two executions agree bit-for-bit: same
@@ -60,12 +41,11 @@ val divergence : exec -> exec -> string option
     returned string names which side of the contract broke. *)
 
 val check :
-  ?flooding_b:(module FLOODING) ->
   ?prof:Obs.Span.t ->
   engine_a:(module Engine.Engine_sig.ENGINE) ->
   engine_b:(module Engine.Engine_sig.ENGINE) ->
   Case.t ->
   string option
-(** Run the case through both engines and compare; [?flooding_b]
-    substitutes the flooding implementation on the [b] side only
-    (the mutation smoke test's hook). *)
+(** Run the case through both engines and compare.  A seeded-bug
+    engine ({!Mutant.engine}, {!Engine.Soa.make}'s [boundary_bug])
+    goes in as [engine_b] like any other. *)

@@ -90,18 +90,20 @@ let case ~seed ~id =
   let rng = Dynet.Rng.make ~seed:cseed in
   let n = 2 + Dynet.Rng.int rng 9 in
   let k = 1 + Dynet.Rng.int rng 6 in
-  let algo =
+  let algorithm =
     match Dynet.Rng.int rng 3 with
-    | 0 -> Case.Flooding
-    | 1 -> Case.Single_source
-    | _ -> Case.Multi_source
+    | 0 -> Scenario.Spec.Flooding
+    | 1 -> Scenario.Spec.Single_source
+    | _ -> Scenario.Spec.Multi_source
   in
   let s =
-    match algo with
-    | Case.Multi_source -> 1 + Dynet.Rng.int rng (min n k)
-    | Case.Flooding | Case.Single_source -> 1
+    match algorithm with
+    | Scenario.Spec.Multi_source -> 1 + Dynet.Rng.int rng (min n k)
+    | Scenario.Spec.Flooding | Scenario.Spec.Single_source
+    | Scenario.Spec.Oblivious_rw ->
+        1
   in
   let rounds = rounds rng ~n in
   let faults = faults rng in
   let max_rounds = Some (8 + Dynet.Rng.int rng 120) in
-  { Case.id; algo; n; k; s; seed = cseed; max_rounds; faults; rounds }
+  { Case.id; algorithm; n; k; s; seed = cseed; max_rounds; faults; rounds }

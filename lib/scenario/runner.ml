@@ -1,29 +1,30 @@
 open Dynet.Ops
 
+(* Every committed schedule goes through here, built-in or replayed,
+   so [sigma] means the same thing on every env. *)
+let stabilize ~sigma s =
+  if sigma <= 1 then s else Adversary.Schedule.stabilized ~sigma s
+
 let builtin_schedule ~env ~sigma ~n ~seed =
-  let stable s =
-    if sigma <= 1 then s else Adversary.Schedule.stabilized ~sigma s
-  in
+  let stable s = Some (stabilize ~sigma s) in
   match (env : Spec.env) with
   | Trace _ | Request_cutter _ -> None
   | Static { p } ->
-      Some
+      stable
         (Adversary.Oblivious.static
            (Dynet.Graph_gen.random_connected (Dynet.Rng.make ~seed) ~n ~p))
-  | Tree_rotator -> Some (stable (Adversary.Oblivious.tree_rotator ~seed ~n))
+  | Tree_rotator -> stable (Adversary.Oblivious.tree_rotator ~seed ~n)
   | Rewiring { extra; rate } ->
-      Some
-        (stable
-           (Adversary.Oblivious.rewiring ~seed ~n
-              ~extra:(Option.value extra ~default:n)
-              ~rate))
+      stable
+        (Adversary.Oblivious.rewiring ~seed ~n
+           ~extra:(Option.value extra ~default:n)
+           ~rate)
   | Edge_markovian { p_up; p_down } ->
-      Some
-        (stable
-           (Adversary.Oblivious.edge_markovian ~seed ~n
-              ~p_up:(Option.value p_up ~default:(2. /. float_of_int n))
-              ~p_down))
-  | Fresh_random { p } -> Some (Adversary.Oblivious.fresh_random ~seed ~n ~p)
+      stable
+        (Adversary.Oblivious.edge_markovian ~seed ~n
+           ~p_up:(Option.value p_up ~default:(2. /. float_of_int n))
+           ~p_down)
+  | Fresh_random { p } -> stable (Adversary.Oblivious.fresh_random ~seed ~n ~p)
 
 let resolve_trace ?(base_dir = ".") (spec : Spec.t) =
   match spec.env with
@@ -109,7 +110,8 @@ let prepare ?base_dir (spec : Spec.t) =
    engines' livelock detector has a sound window to watch. *)
 let schedule p ~seed =
   match p.trace with
-  | Some t -> Replay.schedule ~past_end:Replay.Loop t
+  | Some t ->
+      stabilize ~sigma:p.spec.sigma (Replay.schedule ~past_end:Replay.Loop t)
   | None -> (
       match builtin_schedule ~env:p.spec.env ~sigma:p.spec.sigma ~n:p.n ~seed with
       | Some s -> s
@@ -178,7 +180,7 @@ let rw_report (spec : Spec.t) ~n ~seed (r : Gossip.Oblivious_rw.result) =
         ])
     as_run_result
 
-let run_repeat ?(prof = Obs.Span.null) ?engine ?obs ?cancel p ~seed =
+let run_repeat ?(prof = Obs.Span.null) ?engine ?obs ?cancel ?on_graph p ~seed =
   let spec = p.spec and n = p.n in
   let faults = fault_plan spec.faults ~seed in
   let instance = instance spec.algorithm ~n ~k:spec.k ~s:spec.s ~seed in
@@ -191,22 +193,22 @@ let run_repeat ?(prof = Obs.Span.null) ?engine ?obs ?cancel p ~seed =
   | Spec.Flooding ->
       let result, _ =
         Gossip.Runners.flooding ~instance ~schedule:(schedule p ~seed) ?engine
-          ~faults ?obs ?cancel ~prof ?max_rounds:spec.max_rounds ?stall_after
-          ()
+          ~faults ?obs ?cancel ~prof ?on_graph ?max_rounds:spec.max_rounds
+          ?stall_after ()
       in
       report spec ~n ~seed result
   | Spec.Single_source ->
       let result, _ =
         Gossip.Runners.single_source ~instance ~env:(unicast_env p ~seed)
-          ?engine ~faults ?obs ?cancel ~prof ?max_rounds:spec.max_rounds
-          ?stall_after ()
+          ?engine ~faults ?obs ?cancel ~prof ?on_graph
+          ?max_rounds:spec.max_rounds ?stall_after ()
       in
       report spec ~n ~seed result
   | Spec.Multi_source ->
       let result, _ =
         Gossip.Runners.multi_source ~instance ~env:(unicast_env p ~seed)
-          ?engine ~faults ?obs ?cancel ~prof ?max_rounds:spec.max_rounds
-          ?stall_after ()
+          ?engine ~faults ?obs ?cancel ~prof ?on_graph
+          ?max_rounds:spec.max_rounds ?stall_after ()
       in
       report spec ~n ~seed result
   | Spec.Oblivious_rw ->

@@ -55,7 +55,8 @@ val builtin_schedule :
   Adversary.Schedule.t option
 (** The committed schedule for a built-in oblivious env ([extra]
     defaults to [n], [p_up] to [2/n]; [sigma > 1] wraps the family in
-    {!Adversary.Schedule.stabilized}).  [None] for the two
+    {!Adversary.Schedule.stabilized}, as runs also do to a replayed
+    [trace] — on [static] that is the identity).  [None] for the two
     non-committed envs ([trace] — use {!Replay.schedule} — and the
     adaptive [request-cutter]). *)
 
@@ -99,6 +100,7 @@ val run_repeat :
   ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?obs:Obs.Sink.t ->
   ?cancel:(unit -> bool) ->
+  ?on_graph:(round:int -> Dynet.Graph.t -> unit) ->
   prepared ->
   seed:int ->
   Obs.Report.t
@@ -110,7 +112,10 @@ val run_repeat :
     stream).  [?cancel] is the engines' round-boundary
     cooperative-cancellation poll: a repeat cancelled before its first
     round reports [Cancelled] with zero rounds; [oblivious-rw] (not
-    engine-parametric) checks only at repeat entry. *)
+    engine-parametric) checks only at repeat entry.  [?on_graph] is
+    the engines' recorder hook, called with each executed round's
+    validated graph (the differential fuzzer compares the realized
+    schedules it sees); [oblivious-rw] never calls it. *)
 
 val run_prepared :
   ?jobs:int ->

@@ -18,7 +18,8 @@
                "rate": 0.1 },               //   edge-markovian, fresh-random,
                                             //   request-cutter,
                                             //   trace (+ "path")
-      "sigma": 3,                           // edge-stability (default 1)
+      "sigma": 3,                           // edge-stability of any
+                                            // committed env (default 1)
       "n": 24, "k": 48, "s": 6,             // instance (s defaults 1;
                                             // n comes from the trace when
                                             // env is a trace)

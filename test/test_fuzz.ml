@@ -1,7 +1,8 @@
 (* Tests for the differential fuzzer: generator determinism and
    validity, spec/trace round-trips of generated cases, clean
-   differential batches (reference vs fastpath), the mutation smoke
-   test (a seeded off-by-one must be found and shrunk small), the
+   differential batches (generated cases, and hand-built ones across
+   the 62-bit word boundary), the mutation smoke tests (a seeded
+   off-by-one engine must be found and shrunk small), the
    engines' stall detector agreeing bit-for-bit, and the committed
    regression corpus under test/corpus/. *)
 
@@ -16,6 +17,10 @@ let contains s sub =
 
 let trace_string c = Scenario.Trace_io.to_string (Fuzz.Case.to_trace c)
 
+let spec_string c =
+  Obs.Json.to_string
+    (Scenario.Spec.to_json (Fuzz.Case.to_spec c ~trace_path:"t.jsonl"))
+
 (* {2 Generator} *)
 
 let test_gen_deterministic () =
@@ -26,15 +31,15 @@ let test_gen_deterministic () =
         (Printf.sprintf "case %d: same schedule on regeneration" id)
         (trace_string a) (trace_string b);
       check Alcotest.string
-        (Printf.sprintf "case %d: same label on regeneration" id)
-        (Fuzz.Case.label a) (Fuzz.Case.label b))
+        (Printf.sprintf "case %d: same spec on regeneration" id)
+        (spec_string a) (spec_string b))
     [ 0; 1; 17; 99 ];
   (* Different ids draw from disjoint streams: spot-check they differ
-     somewhere (labels carry the derived seed). *)
+     somewhere (specs carry the derived seed). *)
   check Alcotest.bool "ids derive distinct case seeds" false
     (String.equal
-       (Fuzz.Case.label (Fuzz.Gen.case ~seed:0 ~id:0))
-       (Fuzz.Case.label (Fuzz.Gen.case ~seed:0 ~id:1)))
+       (spec_string (Fuzz.Gen.case ~seed:0 ~id:0))
+       (spec_string (Fuzz.Gen.case ~seed:0 ~id:1)))
 
 let test_gen_valid () =
   for id = 0 to 149 do
@@ -77,7 +82,15 @@ let test_spec_roundtrip () =
             check Alcotest.string
               (Printf.sprintf "case %d: rebuilt case runs identically" id)
               (report c) (report c'))
-  done
+  done;
+  (* The runner stabilizes a trace at sigma > 1, so such a spec does
+     not replay the case's round graphs as they are. *)
+  let c = Fuzz.Gen.case ~seed:5 ~id:0 in
+  let spec =
+    { (Fuzz.Case.to_spec c ~trace_path:"t.jsonl") with Scenario.Spec.sigma = 3 }
+  in
+  check Alcotest.bool "a sigma > 1 spec is not a fuzz case" true
+    (Result.is_error (Fuzz.Case.of_spec spec ~trace:(Fuzz.Case.to_trace c)))
 
 let test_engine_pair () =
   (* The pairing dimension is part of the case stream: deterministic
@@ -115,20 +128,77 @@ let test_differential_batch () =
   check Alcotest.int "metrics: mismatches" 0
     (Obs.Metrics.counter metrics "fuzz/mismatches")
 
+(* Every generated case has n <= 10 and k <= 6: one word per bitset
+   and plane row.  These hand-built cases put n and k on both sides of
+   the 62-bit word boundary (every size as n and as k, with k = n and
+   k two sizes on), so multi-word rows are compared between the
+   engines too. *)
+let test_multi_word_cases () =
+  let sizes = [| 61; 62; 63; 124; 125 |] in
+  let engines =
+    [
+      Engine.Default.engine;
+      Engine.Soa.engine ();
+      Engine.Soa.engine ~shards:2 ();
+    ]
+  in
+  let engine_name (module E : Engine.Engine_sig.ENGINE) = E.name in
+  List.iteri
+    (fun a algorithm ->
+      Array.iteri
+        (fun i n ->
+          List.iter
+            (fun j ->
+              let k = sizes.(j mod Array.length sizes) in
+              let seed = (100 * a) + (10 * i) + j in
+              let rng = Dynet.Rng.make ~seed in
+              let rounds =
+                List.map
+                  (fun p -> Dynet.Graph_gen.random_connected rng ~n ~p)
+                  [ 0.15; 0.04; 0.08 ]
+              in
+              let s =
+                match algorithm with
+                | Scenario.Spec.Single_source -> 1
+                | Scenario.Spec.Flooding | Scenario.Spec.Multi_source
+                | Scenario.Spec.Oblivious_rw ->
+                    8
+              in
+              let case =
+                {
+                  Fuzz.Case.id = seed; algorithm; n; k; s; seed;
+                  max_rounds = Some 24; faults = None; rounds;
+                }
+              in
+              List.iter
+                (fun engine_b ->
+                  check
+                    Alcotest.(option string)
+                    (Printf.sprintf "%s n=%d k=%d: reference vs %s"
+                       (Scenario.Spec.algorithm_name algorithm)
+                       n k (engine_name engine_b))
+                    None
+                    (Fuzz.Diff.check ~engine_a:Engine.Reference.engine
+                       ~engine_b case))
+                engines)
+            [ i; i + 2 ])
+        sizes)
+    Scenario.Spec.[ Flooding; Single_source; Multi_source ]
+
 let test_mutant_control () =
   let outcome =
     Fuzz.Campaign.run
-      ~flooding_b:(Fuzz.Mutant.flooding ~bug:false)
+      ~engine_b:(Fuzz.Mutant.engine ~bug:false)
       ~jobs:2 ~runs:40 ~seed:2 ()
   in
-  check Alcotest.int "the faithful protocol copy diffs clean" 0
+  check Alcotest.int "the control engine diffs clean" 0
     (List.length outcome.Fuzz.Campaign.mismatches)
 
 let test_mutation_smoke () =
   let metrics = Obs.Metrics.create () in
-  let mutant = Fuzz.Mutant.flooding ~bug:true in
+  let mutant = Fuzz.Mutant.engine ~bug:true in
   let outcome =
-    Fuzz.Campaign.run ~flooding_b:mutant ~jobs:2 ~metrics ~shrink_budget:200
+    Fuzz.Campaign.run ~engine_b:mutant ~jobs:2 ~metrics ~shrink_budget:200
       ~runs:60 ~seed:0 ()
   in
   check Alcotest.bool "the seeded off-by-one is found within 60 cases" true
@@ -154,9 +224,8 @@ let test_mutation_smoke () =
            id)
         true
         (Option.is_some
-           (Fuzz.Diff.check ~flooding_b:mutant
-              ~engine_a:Engine.Reference.engine
-              ~engine_b:Engine.Default.engine sh));
+           (Fuzz.Diff.check ~engine_a:Engine.Reference.engine
+              ~engine_b:mutant sh));
       check Alcotest.bool
         (Printf.sprintf "case %d: shrunk case agrees without the mutant" id)
         true
@@ -207,9 +276,9 @@ let test_soa_boundary_mutant () =
     outcome.Fuzz.Campaign.mismatches
 
 let test_corpus_saving () =
-  let mutant = Fuzz.Mutant.flooding ~bug:true in
+  let mutant = Fuzz.Mutant.engine ~bug:true in
   let outcome =
-    Fuzz.Campaign.run ~flooding_b:mutant ~jobs:2 ~shrink_budget:200 ~runs:30
+    Fuzz.Campaign.run ~engine_b:mutant ~jobs:2 ~shrink_budget:200 ~runs:30
       ~seed:0 ()
   in
   let dir =
@@ -347,6 +416,8 @@ let suite =
       test_engine_pair;
     Alcotest.test_case "diff: 60-case batch clean" `Quick
       test_differential_batch;
+    Alcotest.test_case "diff: multi-word cases agree" `Quick
+      test_multi_word_cases;
     Alcotest.test_case "mutant: faithful copy diffs clean" `Quick
       test_mutant_control;
     Alcotest.test_case "mutant: off-by-one found and shrunk" `Quick

@@ -245,7 +245,7 @@ let test_sweep_map_span_lanes_and_order () =
   in
   check Alcotest.int "every point's inner span survived absorb" 8
     (List.length inner);
-  (* And with the null profiler the same call is just map_timed.  The
+  (* And with the null profiler the same call is just map.  The
      points only report what they saw: Alcotest's formatter is not
      domain-safe, so every assertion runs here, after the join. *)
   let out2 =

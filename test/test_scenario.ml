@@ -276,6 +276,54 @@ let test_runner_faults_and_cutter () =
       check Alcotest.string "report name carries spec/algo/seed"
         "cutter/multi-source/seed=9" reports.(0).Obs.Report.name
 
+(* [sigma] stabilizes every committed schedule: fresh-random and a
+   replayed trace change with it, and static (a fixed graph is already
+   stable) does not. *)
+let test_runner_sigma_every_env () =
+  let report ~sigma env =
+    let spec =
+      spec_of_json_exn
+        (Printf.sprintf
+           {|{ "schema": "dynspread-scenario/v1", "name": "sigma",
+               "algorithm": "single-source", "env": %s, "sigma": %d,
+               "n": 16, "k": 16, "seed": 4 }|}
+           env sigma)
+    in
+    match Scenario.Runner.run spec with
+    | Ok r -> String.concat "\n" (reports_json r)
+    | Error e -> Alcotest.failf "run failed: %s" e
+  in
+  let fresh = {|{ "family": "fresh-random" }|} in
+  check Alcotest.bool "fresh-random: sigma 3 differs from sigma 1" false
+    (String.equal (report ~sigma:1 fresh) (report ~sigma:3 fresh));
+  let static = {|{ "family": "static", "p": 0.3 }|} in
+  check Alcotest.string "static: sigma 3 equals sigma 1"
+    (report ~sigma:1 static) (report ~sigma:3 static);
+  (* A period-2 trace alternating two trees: replayed with sigma 3,
+     every edge of one tree is held down through the other's round. *)
+  let n = 8 in
+  let trace =
+    Scenario.Trace_io.of_graphs ~seed:0 ~provenance:"test" ~n
+      [ Dynet.Graph_gen.path ~n; Dynet.Graph_gen.star ~n ]
+  in
+  let replay ~sigma =
+    let spec =
+      spec_of_json_exn
+        (Printf.sprintf
+           {|{ "schema": "dynspread-scenario/v1", "name": "sigma",
+               "algorithm": "single-source",
+               "env": { "family": "trace", "path": "unused" },
+               "sigma": %d, "n": 8, "k": 8, "seed": 4 }|}
+           sigma)
+    in
+    Scenario.Runner.run_repeat
+      { Scenario.Runner.spec; trace = Some trace; n; seeds = [| 4 |] }
+      ~seed:4
+    |> Obs.Report.to_json |> Obs.Json.to_string
+  in
+  check Alcotest.bool "trace: sigma 3 differs from sigma 1" false
+    (String.equal (replay ~sigma:1) (replay ~sigma:3))
+
 (* {2 Contact-sequence importer} *)
 
 let import_exn ?bucket ?repair content =
@@ -584,6 +632,8 @@ let suite =
       test_runner_jobs_deterministic;
     Alcotest.test_case "runner: faults and request-cutter wiring" `Quick
       test_runner_faults_and_cutter;
+    Alcotest.test_case "runner: sigma stabilizes every env" `Quick
+      test_runner_sigma_every_env;
     Alcotest.test_case "import: documented normalizations" `Quick
       test_import_normalizations;
     Alcotest.test_case "import: connectivity-repair accounting" `Quick
